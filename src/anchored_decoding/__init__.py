@@ -9,7 +9,6 @@ from .anchoring import (
     build_masked_context,
     combine_confidence,
     combine_fixed,
-    combine_truncated,
     parse_markup,
     resolve_anchors,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "build_masked_context",
     "combine_confidence",
     "combine_fixed",
-    "combine_truncated",
     "export_trace",
     "greedy_decode",
     "grid_search",

@@ -14,8 +14,7 @@ amplifies the span, w = 0 ignores it, w < 0 reverses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +49,9 @@ class AnchoringConfig:
 
     mode "fixed" uses a single strength ``omega``; mode "confidence" reweights
     the per-token logit difference by ``lam * (1 - p_t)`` where p_t is the
-    token's original softmax probability. ``top_k`` restricts combination and
-    trace storage to the top-k original logits. ``activation`` selects whether
+    token's original softmax probability. ``top_k`` (fixed mode only)
+    restricts the candidate tokens and trace storage to the top-k original
+    logits. ``activation`` selects whether
     the harness anchors every task or only after a failed baseline attempt.
     """
 
@@ -142,7 +142,9 @@ def resolve_anchors(prompt: PromptSpec, vocab: VocabSpec) -> tuple[list[int], An
 
 def build_masked_context(full_context, resolution: AnchorResolution, mask_id: int) -> list[int]:
     """Copy of the context with anchored positions replaced by the mask token.
-    Positions past the prompt (generated tokens) are never touched."""
+    Positions past the prompt (generated tokens) are never touched. Decoding
+    passes the positions to ``score(mask_positions=...)`` instead; this is
+    the reference form of that masked context."""
     context = list(full_context)
     if resolution.prompt_length > len(context):
         raise ValueError("context shorter than the resolved prompt")
@@ -189,19 +191,3 @@ def combine_confidence(original, masked, lam: float) -> np.ndarray:
     p = softmax(original)
     return original + lam * (1.0 - p) * (original - masked)
 
-
-def combine_truncated(
-    original_topk: list[tuple[int, float]],
-    masked_lookup: Callable[[int], float],
-    omega: float,
-    k: int,
-) -> list[tuple[int, float]]:
-    """Memory-reduced combination over the top-k ORIGINAL logits only: the
-    candidate set is ranked by the original distribution and masked logits
-    are looked up at those ids."""
-    if len(original_topk) != k:
-        raise ValueError(f"expected {k} pairs, got {len(original_topk)}")
-    ids = [i for i, _ in original_topk]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate ids in original_topk")
-    return [(i, omega * v + (1.0 - omega) * masked_lookup(i)) for i, v in original_topk]

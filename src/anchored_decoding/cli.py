@@ -167,16 +167,21 @@ def _out_stream(path):
     return open(path, "w", encoding="utf-8") if path else sys.stdout
 
 
-def _cmd_generate(args) -> int:
-    backend = _build_backend(args.backend, args.seed)
+def _decode_prompt(args, backend, want_attention: bool):
+    """Decode ``--prompt``: greedy when anchoring is off or the prompt has no
+    anchored span, anchored otherwise."""
     spec = parse_markup(args.prompt, args.anchor_open, args.anchor_close)
     limits = DecodeLimits(args.max_new)
     config = _anchoring_config(args)
     if config.mode == "off" or not spec.has_anchors:
         tokens, _ = resolve_anchors(spec, backend.vocab)
-        trace = greedy_decode(backend, tokens, limits, want_attention=args.attention)
-    else:
-        trace = anchored_decode(backend, spec, config, limits, want_attention=args.attention)
+        return greedy_decode(backend, tokens, limits, want_attention=want_attention)
+    return anchored_decode(backend, spec, config, limits, want_attention=want_attention)
+
+
+def _cmd_generate(args) -> int:
+    backend = _build_backend(args.backend, args.seed)
+    trace = _decode_prompt(args, backend, want_attention=args.attention)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fp:
             export_trace(trace, fp)
@@ -275,15 +280,7 @@ def _cmd_eval(args) -> int:
 def _cmd_analyze(args) -> int:
     if args.analysis == "dilution":
         backend = _build_backend(args.backend, args.seed)
-        spec = parse_markup(args.prompt, args.anchor_open, args.anchor_close)
-        limits = DecodeLimits(args.max_new)
-        config = _anchoring_config(args)
-        if config.mode == "off" or not spec.has_anchors:
-            tokens, _ = resolve_anchors(spec, backend.vocab)
-            trace = greedy_decode(backend, tokens, limits, want_attention=True)
-        else:
-            trace = anchored_decode(backend, spec, config, limits, want_attention=True)
-        curve = dilution_curve(trace)
+        curve = dilution_curve(_decode_prompt(args, backend, want_attention=True))
         fp = _out_stream(args.out)
         try:
             write_curve_csv(curve, fp)

@@ -1,12 +1,13 @@
-"""Autoregressive decoding loops: baseline greedy, anchored greedy, and the
-hybrid anchored beam search (candidates from augmented logits, beam scores
-from original probabilities)."""
+"""Autoregressive decoding: baseline greedy and anchored greedy share one
+token loop, and the hybrid anchored beam search (candidates from augmented
+logits, beam scores from original probabilities) shares its per-step
+scoring."""
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,15 +15,14 @@ from .anchoring import (
     AnchoringConfig,
     AnchorResolution,
     PromptSpec,
-    build_masked_context,
     combine_confidence,
     combine_fixed,
-    combine_truncated,
     resolve_anchors,
     softmax,
 )
 from .errors import DecodeError, TransportError
 from .toy_model import CountingBackend, top_k_pairs
+from .wire import _fmt
 
 # Full-vector trace storage is capped; past this vocab size traces keep
 # top-k pairs per side instead (default k=100).
@@ -57,7 +57,7 @@ class GenerationTrace:
     prompt_tokens: list[int]
     resolution: AnchorResolution | None
     steps: list[tuple[int, StepScore]]
-    finished_reason: str  # stop_token | length_limit
+    finished_reason: str  # stop_token | length_limit | transport_error
     wall_times: list[float]
 
     @property
@@ -94,41 +94,63 @@ def _pairs(vec: np.ndarray, k: int | None) -> np.ndarray | Pairs:
     return list(zip(ids.tolist(), vals.tolist()))
 
 
-def _storage_k(backend, config: AnchoringConfig | None) -> int | None:
-    if config is not None and config.top_k is not None:
-        return config.top_k
-    if backend.vocab.size > FULL_STORAGE_VOCAB_LIMIT:
-        return DEFAULT_STORAGE_TOP_K
-    return None
+def _score_step(backend, context, resolution, config, want_attention: bool = False):
+    """Score one step: the original pass and, with a config, the masked pass
+    (anchored prompt positions replaced by the mask token through
+    ``mask_positions``) combined into augmented logits. Returns (original
+    result, masked logits, augmented logits); the last two are None without
+    a config."""
+    orig = backend.score(context, want_attention=want_attention)
+    if config is None:
+        return orig, None, None
+    masked = backend.score(context, mask_positions=resolution.token_positions).logits
+    if config.mode == "confidence":
+        return orig, masked, combine_confidence(orig.logits, masked, config.lam)
+    return orig, masked, combine_fixed(orig.logits, masked, config.omega)
+
+
+def _decode(backend, prompt_tokens, resolution, config, limits, want_attention) -> GenerationTrace:
+    """Token loop of greedy_decode (config None) and anchored_decode. With
+    config.top_k, every augmented logit outside the original top-k is set to
+    -inf before the argmax, and the trace keeps the three vectors at those
+    ids in top-k order. A TransportError aborts with a DecodeError that
+    carries the steps completed so far."""
+    top_k = config.top_k if config is not None else None
+    store_k = DEFAULT_STORAGE_TOP_K if backend.vocab.size > FULL_STORAGE_VOCAB_LIMIT else None
+    context = list(prompt_tokens)
+    trace = GenerationTrace(list(prompt_tokens), resolution, [], "length_limit", [])
+    for _ in range(limits.max_new_tokens):
+        if len(context) >= backend.max_positions:
+            break
+        t0 = time.perf_counter()
+        try:
+            orig, masked, aug = _score_step(backend, context, resolution, config, want_attention)
+        except TransportError as exc:
+            trace.finished_reason = "transport_error"
+            raise DecodeError(str(exc), partial_trace=trace) from exc
+        vectors = (orig.logits, masked, aug)
+        if top_k is None:
+            token = _argmax_lowest_id(orig.logits if aug is None else aug)
+            stored = [None if v is None else _pairs(v, store_k) for v in vectors]
+        else:
+            ids, _ = top_k_pairs(orig.logits, top_k)
+            candidates = np.full(len(aug), -np.inf)
+            candidates[ids] = aug[ids]
+            token = _argmax_lowest_id(candidates)
+            stored = [list(zip(ids.tolist(), v[ids].tolist())) for v in vectors]
+        trace.wall_times.append(time.perf_counter() - t0)
+        trace.steps.append((token, StepScore(*stored, attention_row=orig.attention)))
+        context.append(token)
+        if token in backend.vocab.stop_ids:
+            trace.finished_reason = "stop_token"
+            break
+    return trace
 
 
 def greedy_decode(backend, prompt_tokens, limits: DecodeLimits, want_attention: bool = False) -> GenerationTrace:
     """Baseline decode: argmax of the original logits each step (ties break
     to the lowest token id); no masked pass."""
-    context = list(prompt_tokens)
-    store_k = _storage_k(backend, None)
-    steps: list[tuple[int, StepScore]] = []
-    walls: list[float] = []
-    reason = "length_limit"
-    for _ in range(limits.max_new_tokens):
-        if len(context) >= backend.max_positions:
-            break
-        t0 = time.perf_counter()
-        res = backend.score(context, want_attention=want_attention)
-        token = _argmax_lowest_id(res.logits)
-        walls.append(time.perf_counter() - t0)
-        steps.append((token, StepScore(original=_pairs(res.logits, store_k), attention_row=res.attention)))
-        context.append(token)
-        if token in backend.vocab.stop_ids:
-            reason = "stop_token"
-            break
-    return GenerationTrace(list(prompt_tokens), None, steps, reason, walls)
-
-
-def _augment(original: np.ndarray, masked: np.ndarray, config: AnchoringConfig) -> np.ndarray:
-    if config.mode == "confidence":
-        return combine_confidence(original, masked, config.lam)
-    return combine_fixed(original, masked, config.omega)
+    return _decode(backend, prompt_tokens, None, None, limits, want_attention)
 
 
 def anchored_decode(
@@ -138,9 +160,10 @@ def anchored_decode(
     limits: DecodeLimits,
     want_attention: bool = False,
 ) -> GenerationTrace:
-    """Anchored decode: two score() calls per step (original and masked
-    context), next token = argmax of the augmented logits. The mask set is
-    frozen at prompt resolution; generated tokens are never masked."""
+    """Anchored decode: two score() calls per step (original context, then
+    the same context with ``mask_positions`` set to the anchored span), next
+    token = argmax of the augmented logits. The mask set is frozen at prompt
+    resolution; generated tokens are never masked."""
     if config.mode == "off":
         raise ValueError("anchored_decode requires mode fixed or confidence")
     if config.mode == "confidence" and config.top_k is not None:
@@ -148,54 +171,7 @@ def anchored_decode(
     prompt_tokens, resolution = _resolve_prompt(backend, prompt)
     if not resolution.token_positions:
         raise ValueError("prompt has no anchored tokens")
-    mask_id = backend.vocab.mask_id
-
-    context = list(prompt_tokens)
-    steps: list[tuple[int, StepScore]] = []
-    walls: list[float] = []
-    reason = "length_limit"
-    trace = GenerationTrace(prompt_tokens, resolution, steps, reason, walls)
-    for _ in range(limits.max_new_tokens):
-        if len(context) >= backend.max_positions:
-            break
-        masked_ctx = build_masked_context(context, resolution, mask_id)
-        t0 = time.perf_counter()
-        try:
-            if config.top_k is not None:
-                orig = backend.score(context, want_attention=want_attention, top_k=config.top_k)
-                masked = backend.score(masked_ctx)
-                pairs = list(zip(orig.ids.tolist(), orig.logits.tolist()))
-                aug = combine_truncated(pairs, lambda i: float(masked.logits[i]), config.omega, config.top_k)
-                token, _ = min(aug, key=lambda p: (-p[1], p[0]))
-                score = StepScore(
-                    original=pairs,
-                    masked=[(i, float(masked.logits[i])) for i, _ in pairs],
-                    augmented=aug,
-                    attention_row=orig.attention,
-                )
-            else:
-                orig = backend.score(context, want_attention=want_attention)
-                masked = backend.score(masked_ctx)
-                aug_vec = _augment(orig.logits, masked.logits, config)
-                token = _argmax_lowest_id(aug_vec)
-                store_k = _storage_k(backend, config)
-                score = StepScore(
-                    original=_pairs(orig.logits, store_k),
-                    masked=_pairs(masked.logits, store_k),
-                    augmented=_pairs(aug_vec, store_k),
-                    attention_row=orig.attention,
-                )
-        except TransportError as exc:
-            trace.finished_reason = "transport_error"
-            raise DecodeError(str(exc), partial_trace=trace) from exc
-        walls.append(time.perf_counter() - t0)
-        steps.append((token, score))
-        context.append(token)
-        if token in backend.vocab.stop_ids:
-            reason = "stop_token"
-            break
-    trace.finished_reason = reason
-    return trace
+    return _decode(backend, prompt_tokens, resolution, config, limits, want_attention)
 
 
 def beam_search_anchored(
@@ -227,7 +203,6 @@ def beam_search_anchored(
     prompt_tokens, resolution = _resolve_prompt(backend, prompt)
     if not resolution.token_positions:
         raise ValueError("prompt has no anchored tokens")
-    mask_id = backend.vocab.mask_id
     stop_ids = backend.vocab.stop_ids
 
     heap: list[tuple[float, tuple[int, ...], bool]] = [(0.0, (), False)]
@@ -244,9 +219,7 @@ def beam_search_anchored(
         if terminal:
             results.append(BeamCandidate(tokens, score, finished))
             continue
-        orig = backend.score(context)
-        masked = backend.score(build_masked_context(context, resolution, mask_id))
-        aug = _augment(orig.logits, masked.logits, config)
+        orig, _, aug = _score_step(backend, context, resolution, config)
         cand_ids, _ = top_k_pairs(aug, beam_width)
         logp = np.log(softmax(orig.logits))
         for tid in cand_ids.tolist():
@@ -296,10 +269,6 @@ def measure_overhead(backend, prompt: PromptSpec, config: AnchoringConfig, limit
 
 
 # -- trace export ------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _vec_json(vec: np.ndarray | Pairs | None):

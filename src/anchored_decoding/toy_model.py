@@ -8,7 +8,7 @@ every test oracle in this project relies on bit-reproducible logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

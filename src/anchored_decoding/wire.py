@@ -151,7 +151,8 @@ def serve(backend, host: str = "127.0.0.1", port: int = 0) -> LogitServer:
 
 class RemoteBackend:
     """score() over the wire; interface-compatible with the toy backend for
-    decoding (no embedding access, so gradient probes are unsupported)."""
+    decoding (no embedding access, so gradient probes are unsupported).
+    Safe to share across threads: requests on the one connection take turns."""
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         try:
@@ -159,6 +160,7 @@ class RemoteBackend:
         except OSError as exc:
             raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
         self._file = self._sock.makefile("rwb")
+        self._lock = threading.Lock()
         meta = self._request({"v": PROTOCOL_VERSION, "op": "meta"})
         try:
             self.vocab = VocabSpec(
@@ -172,9 +174,10 @@ class RemoteBackend:
 
     def _request(self, obj: dict) -> dict:
         try:
-            self._file.write((json.dumps(obj) + "\n").encode("utf-8"))
-            self._file.flush()
-            raw = self._file.readline()
+            with self._lock:
+                self._file.write((json.dumps(obj) + "\n").encode("utf-8"))
+                self._file.flush()
+                raw = self._file.readline()
         except OSError as exc:
             raise TransportError(f"transport failure: {exc}") from exc
         if not raw:

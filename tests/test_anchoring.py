@@ -9,12 +9,10 @@ from anchored_decoding import (
     build_masked_context,
     combine_confidence,
     combine_fixed,
-    combine_truncated,
     parse_markup,
     resolve_anchors,
 )
 from anchored_decoding.anchoring import softmax
-from anchored_decoding.toy_model import top_k_pairs
 
 VOCAB = VocabSpec.toy(16)
 
@@ -190,41 +188,6 @@ def test_combine_confidence_uniform_degenerates_to_fixed(rng):
 def test_combine_confidence_negative_lambda():
     with pytest.raises(ValueError):
         combine_confidence([1.0], [0.0], -0.1)
-
-
-def test_combine_truncated_full_k(rng):
-    a = rng.normal(size=8)
-    b = rng.normal(size=8)
-    ids, vals = top_k_pairs(a, 8)
-    pairs = list(zip(ids.tolist(), vals.tolist()))
-    out = combine_truncated(pairs, lambda i: b[i], 1.25, 8)
-    full = combine_fixed(a, b, 1.25)
-    assert all(v == full[i] for i, v in out)
-
-
-def test_combine_truncated_matches_full(rng):
-    for _ in range(30):
-        a = rng.normal(size=32)
-        b = rng.normal(size=32)
-        ids, vals = top_k_pairs(a, 8)
-        pairs = list(zip(ids.tolist(), vals.tolist()))
-        out = combine_truncated(pairs, lambda i: b[i], 1.25, 8)
-        full = combine_fixed(a, b, 1.25)
-        assert [i for i, _ in out] == ids.tolist()
-        assert all(v == full[i] for i, v in out)
-
-
-def test_combine_truncated_k1(rng):
-    a = rng.normal(size=8)
-    b = rng.normal(size=8)
-    i = int(np.argmax(a))
-    out = combine_truncated([(i, float(a[i]))], lambda j: b[j], 1.5, 1)
-    assert out == [(i, 1.5 * a[i] - 0.5 * b[i])]
-
-
-def test_combine_truncated_duplicate_ids():
-    with pytest.raises(ValueError):
-        combine_truncated([(1, 0.5), (1, 0.2)], lambda i: 0.0, 1.0, 2)
 
 
 # -- config validation -------------------------------------------------------

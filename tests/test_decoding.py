@@ -20,6 +20,7 @@ from anchored_decoding import (
     resolve_anchors,
 )
 from anchored_decoding.anchoring import softmax
+from anchored_decoding.errors import DecodeError, TransportError
 from anchored_decoding.toy_model import top_k_pairs
 
 from conftest import make_backend, random_marked_prompt
@@ -259,6 +260,8 @@ def test_beam_finished_flag(backend):
 
 
 def test_call_counts(backend):
+    # the gating audits count masked passes by mask_positions, so every
+    # anchored step and beam expansion must issue its masked pass that way
     prompt = parse_markup("ab⟦cd⟧")
     tokens, _ = resolve_anchors(prompt, backend.vocab)
 
@@ -267,9 +270,15 @@ def test_call_counts(backend):
     assert counting.calls == len(base.steps)
     assert counting.masked_calls == 0
 
+    for config in (fixed(1.25), fixed(1.25, top_k=4), AnchoringConfig(mode="confidence", lam=1.0)):
+        counting = CountingBackend(backend)
+        anch = anchored_decode(counting, prompt, config, LIMITS)
+        assert counting.calls == 2 * len(anch.steps)
+        assert counting.masked_calls == len(anch.steps)
+
     counting = CountingBackend(backend)
-    anch = anchored_decode(counting, prompt, fixed(1.25), LIMITS)
-    assert counting.calls == 2 * len(anch.steps)
+    beam_search_anchored(counting, prompt, fixed(1.25), 2, DecodeLimits(4))
+    assert 0 < counting.masked_calls == counting.calls - counting.masked_calls
 
 
 def test_measure_overhead(backend):
@@ -278,6 +287,40 @@ def test_measure_overhead(backend):
     assert report.anchored_calls == 2 * report.anchored_tokens
     assert report.baseline_tokens_per_sec > 0
     assert report.anchored_tokens_per_sec > 0
+
+
+class FailingBackend:
+    """Passes score() through until the given call, which raises TransportError."""
+
+    def __init__(self, inner, fail_on: int):
+        self.inner = inner
+        self.vocab = inner.vocab
+        self.max_positions = inner.max_positions
+        self.fail_on = fail_on
+        self.calls = 0
+
+    def score(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise TransportError("connection reset")
+        return self.inner.score(*args, **kwargs)
+
+
+def test_transport_failure_keeps_partial_trace(backend):
+    prompt = parse_markup("abc⟦de⟧")
+    tokens, _ = resolve_anchors(prompt, backend.vocab)
+    # the third call fails: after two greedy steps, or after one anchored step
+    for decode, completed in (
+        (lambda b: greedy_decode(b, tokens, LIMITS), 2),
+        (lambda b: anchored_decode(b, prompt, fixed(1.25), LIMITS), 1),
+    ):
+        full = decode(backend)
+        assert len(full.steps) > completed
+        with pytest.raises(DecodeError) as info:
+            decode(FailingBackend(backend, fail_on=3))
+        partial = info.value.partial_trace
+        assert partial.finished_reason == "transport_error"
+        assert partial.generated_tokens == full.generated_tokens[:completed]
 
 
 # -- trace export ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import socket
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -134,6 +135,15 @@ def test_sequential_requests_no_state_leakage(remote, server_backend, rng):
         local = server_backend.score(ctx, masks)
         got = remote.score(ctx, masks)
         assert np.array_equal(local.logits, got.logits)
+
+
+def test_shared_remote_backend_across_threads(remote, server_backend):
+    # 4 threads x 25 calls on one connection; each result must be its own
+    contexts = [[(7 * i + j) % server_backend.vocab.size for j in range(1 + i % 9)] for i in range(100)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lambda ctx: remote.score(ctx).logits, contexts))
+    for ctx, logits in zip(contexts, got):
+        assert np.array_equal(logits, server_backend.score(ctx).logits)
 
 
 def test_remote_decode_matches_local(server, server_backend):
