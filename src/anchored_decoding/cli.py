@@ -171,12 +171,12 @@ def _decode_prompt(args, backend, want_attention: bool):
     """Decode ``--prompt``: greedy when anchoring is off or the prompt has no
     anchored span, anchored otherwise."""
     spec = parse_markup(args.prompt, args.anchor_open, args.anchor_close)
+    tokens, resolution = prompt = resolve_anchors(spec, backend.vocab)
     limits = DecodeLimits(args.max_new)
     config = _anchoring_config(args)
-    if config.mode == "off" or not spec.has_anchors:
-        tokens, _ = resolve_anchors(spec, backend.vocab)
+    if config.mode == "off" or not resolution.token_positions:
         return greedy_decode(backend, tokens, limits, want_attention=want_attention)
-    return anchored_decode(backend, spec, config, limits, want_attention=want_attention)
+    return anchored_decode(backend, prompt, config, limits, want_attention=want_attention)
 
 
 def _cmd_generate(args) -> int:

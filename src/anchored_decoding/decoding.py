@@ -1,7 +1,7 @@
 """Autoregressive decoding: baseline greedy and anchored greedy share one
 token loop, and the hybrid anchored beam search (candidates from augmented
-logits, beam scores from original probabilities) shares its per-step
-scoring."""
+logits, beam scores from original probabilities) shares its checks, its
+per-step scoring and its candidate rule."""
 
 from __future__ import annotations
 
@@ -82,9 +82,16 @@ def _resolve_prompt(backend, prompt) -> tuple[list[int], AnchorResolution]:
     return list(prompt_tokens), resolution
 
 
-def _argmax_lowest_id(logits: np.ndarray) -> int:
-    # np.argmax returns the first maximal index, i.e. the lowest id
-    return int(np.argmax(logits))
+def _prepare(backend, prompt, config: AnchoringConfig):
+    """Checks and prompt resolution shared by anchored_decode and
+    beam_search_anchored. Returns (prompt_tokens, resolution, config), the
+    config replaced by None when anchoring does not apply (mode off, or no
+    anchored tokens in the prompt)."""
+    if config.mode == "confidence" and config.top_k is not None:
+        raise ValueError("top_k truncation is only supported in fixed mode")
+    prompt_tokens, resolution = _resolve_prompt(backend, prompt)
+    applies = config.mode != "off" and resolution.token_positions
+    return prompt_tokens, resolution, config if applies else None
 
 
 def _pairs(vec: np.ndarray, k: int | None) -> np.ndarray | Pairs:
@@ -99,22 +106,35 @@ def _score_step(backend, context, resolution, config, want_attention: bool = Fal
     (anchored prompt positions replaced by the mask token through
     ``mask_positions``) combined into augmented logits. Returns (original
     result, masked logits, augmented logits); the last two are None without
-    a config."""
-    orig = backend.score(context, want_attention=want_attention)
-    if config is None:
-        return orig, None, None
-    masked = backend.score(context, mask_positions=resolution.token_positions).logits
+    a config. A TransportError becomes a DecodeError."""
+    try:
+        orig = backend.score(context, want_attention=want_attention)
+        if config is None:
+            return orig, None, None
+        masked = backend.score(context, mask_positions=resolution.token_positions).logits
+    except TransportError as exc:
+        raise DecodeError(str(exc)) from exc
     if config.mode == "confidence":
         return orig, masked, combine_confidence(orig.logits, masked, config.lam)
     return orig, masked, combine_fixed(orig.logits, masked, config.omega)
 
 
+def _candidates(original: np.ndarray, augmented, config, n: int) -> np.ndarray:
+    """The candidate rule of every decoder: the n best ids of the augmented
+    logits (of the original ones without a config), best first, ties to the
+    lowest id. With config.top_k only the original top-k ids are eligible,
+    so fewer than n may come back."""
+    if config is None or config.top_k is None:
+        return top_k_pairs(original if augmented is None else augmented, n)[0]
+    ids = np.sort(top_k_pairs(original, config.top_k)[0])
+    return ids[top_k_pairs(augmented[ids], min(n, len(ids)))[0]]
+
+
 def _decode(backend, prompt_tokens, resolution, config, limits, want_attention) -> GenerationTrace:
     """Token loop of greedy_decode (config None) and anchored_decode. With
-    config.top_k, every augmented logit outside the original top-k is set to
-    -inf before the argmax, and the trace keeps the three vectors at those
-    ids in top-k order. A TransportError aborts with a DecodeError that
-    carries the steps completed so far."""
+    config.top_k the trace keeps the three vectors at the original top-k ids
+    in top-k order. A DecodeError from the scoring step carries the steps
+    completed so far."""
     top_k = config.top_k if config is not None else None
     store_k = DEFAULT_STORAGE_TOP_K if backend.vocab.size > FULL_STORAGE_VOCAB_LIMIT else None
     context = list(prompt_tokens)
@@ -125,18 +145,16 @@ def _decode(backend, prompt_tokens, resolution, config, limits, want_attention) 
         t0 = time.perf_counter()
         try:
             orig, masked, aug = _score_step(backend, context, resolution, config, want_attention)
-        except TransportError as exc:
+        except DecodeError as exc:
             trace.finished_reason = "transport_error"
-            raise DecodeError(str(exc), partial_trace=trace) from exc
+            exc.partial_trace = trace
+            raise
+        token = int(_candidates(orig.logits, aug, config, 1)[0])
         vectors = (orig.logits, masked, aug)
         if top_k is None:
-            token = _argmax_lowest_id(orig.logits if aug is None else aug)
             stored = [None if v is None else _pairs(v, store_k) for v in vectors]
         else:
             ids, _ = top_k_pairs(orig.logits, top_k)
-            candidates = np.full(len(aug), -np.inf)
-            candidates[ids] = aug[ids]
-            token = _argmax_lowest_id(candidates)
             stored = [list(zip(ids.tolist(), v[ids].tolist())) for v in vectors]
         trace.wall_times.append(time.perf_counter() - t0)
         trace.steps.append((token, StepScore(*stored, attention_row=orig.attention)))
@@ -163,15 +181,12 @@ def anchored_decode(
     """Anchored decode: two score() calls per step (original context, then
     the same context with ``mask_positions`` set to the anchored span), next
     token = argmax of the augmented logits. The mask set is frozen at prompt
-    resolution; generated tokens are never masked."""
-    if config.mode == "off":
-        raise ValueError("anchored_decode requires mode fixed or confidence")
-    if config.mode == "confidence" and config.top_k is not None:
-        raise ValueError("top_k truncation is only supported in fixed mode")
-    prompt_tokens, resolution = _resolve_prompt(backend, prompt)
-    if not resolution.token_positions:
-        raise ValueError("prompt has no anchored tokens")
-    return _decode(backend, prompt_tokens, resolution, config, limits, want_attention)
+    resolution; generated tokens are never masked. Raises ValueError when
+    anchoring does not apply (mode off, or no anchored tokens)."""
+    prompt_tokens, resolution, anchored = _prepare(backend, prompt, config)
+    if anchored is None:
+        raise ValueError("anchored_decode needs mode fixed or confidence and an anchored span")
+    return _decode(backend, prompt_tokens, resolution, anchored, limits, want_attention)
 
 
 def beam_search_anchored(
@@ -182,9 +197,11 @@ def beam_search_anchored(
     limits: DecodeLimits,
 ) -> list[BeamCandidate]:
     """Hybrid beam search: candidate tokens come from the AUGMENTED logits
-    (top beam_width per expanded prefix) while every extension is scored by
-    the log of its ORIGINAL softmax probability, so amplified-but-noisy
-    low-rank logits widen the search without corrupting the ranking.
+    (top beam_width per expanded prefix, under the same top_k rule as
+    anchored_decode) while every extension is scored by the log of its
+    ORIGINAL softmax probability, so amplified-but-noisy low-rank logits
+    widen the search without corrupting the ranking. With mode off or no
+    anchored tokens it is a plain beam search over the original logits.
 
     Prefixes are expanded best-first. Log-probabilities only decrease along
     a path, so a prefix's score bounds all of its completions and the first
@@ -193,16 +210,13 @@ def beam_search_anchored(
     enumeration under the per-step candidate rule would rank on top). Ties
     break to the lexicographically smallest token sequence. Cost grows with
     beam width and sequence length; widths here are small (Pass@k scale).
+    A TransportError aborts with a DecodeError (no partial trace).
     """
     import heapq
 
     if not (1 <= beam_width <= backend.vocab.size):
         raise ValueError("beam_width out of range")
-    if config.mode == "off":
-        raise ValueError("beam search requires mode fixed or confidence")
-    prompt_tokens, resolution = _resolve_prompt(backend, prompt)
-    if not resolution.token_positions:
-        raise ValueError("prompt has no anchored tokens")
+    prompt_tokens, resolution, config = _prepare(backend, prompt, config)
     stop_ids = backend.vocab.stop_ids
 
     heap: list[tuple[float, tuple[int, ...], bool]] = [(0.0, (), False)]
@@ -220,9 +234,8 @@ def beam_search_anchored(
             results.append(BeamCandidate(tokens, score, finished))
             continue
         orig, _, aug = _score_step(backend, context, resolution, config)
-        cand_ids, _ = top_k_pairs(aug, beam_width)
         logp = np.log(softmax(orig.logits))
-        for tid in cand_ids.tolist():
+        for tid in _candidates(orig.logits, aug, config, beam_width).tolist():
             heapq.heappush(
                 heap,
                 (-(score + float(logp[tid])), tokens + (tid,), tid in stop_ids),

@@ -7,7 +7,9 @@ import csv
 import json
 import os
 import shutil
+import signal
 import subprocess
+import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +21,12 @@ from .decoding import DecodeLimits, anchored_decode, beam_search_anchored, greed
 SANDBOX_ENV_VAR = "ANCHOR_SANDBOX_DIR"
 
 _TASK_FIELDS = {"id", "prompt", "tests", "entry_check", "difficulty", "meta"}
+
+# Each test runs in a process group of its own, so a timeout can kill every
+# process it started. A group, not a session: where the kernel groups the
+# scheduler by session (autogroup), a session per test would make and tear
+# down a scheduling group per test, which makes run times uneven.
+_OWN_GROUP = {"process_group": 0} if sys.version_info >= (3, 11) else {"preexec_fn": os.setpgrp}
 
 
 @dataclass(frozen=True)
@@ -216,29 +224,20 @@ def run_tests(program_text: str, task: Task, timeout_ms: int = 5000) -> TestResu
             with open(os.path.join(sandbox, filename), "w", encoding="utf-8") as fp:
                 fp.write(program_text)
             t0 = time.perf_counter()
-            try:
-                proc = subprocess.run(
-                    test["cmd"],
-                    shell=True,
-                    cwd=sandbox,
-                    capture_output=True,
-                    text=True,
-                    timeout=timeout_ms / 1000.0,
-                )
-                outcomes.append(
-                    TestOutcome(
-                        proc.returncode == 0,
-                        proc.stdout + proc.stderr,
-                        proc.returncode,
-                        time.perf_counter() - t0,
-                    )
-                )
-            except subprocess.TimeoutExpired as exc:
-                timed_out = True
-                out = (exc.stdout or b"") if isinstance(exc.stdout, (bytes, bytearray)) else (exc.stdout or "")
-                outcomes.append(
-                    TestOutcome(False, str(out), None, time.perf_counter() - t0)
-                )
+            with subprocess.Popen(
+                test["cmd"], shell=True, cwd=sandbox, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                **_OWN_GROUP,
+            ) as proc:
+                try:
+                    out, err = proc.communicate(timeout=timeout_ms / 1000.0)
+                    status = proc.returncode
+                except subprocess.TimeoutExpired as exc:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait()
+                    out, err, status = exc.stdout or b"", exc.stderr or b"", None
+                    timed_out = True
+            output = (out + err).decode(errors="replace")
+            outcomes.append(TestOutcome(status == 0, output, status, time.perf_counter() - t0))
         finally:
             shutil.rmtree(sandbox, ignore_errors=True)
     passed = bool(outcomes) and all(o.passed for o in outcomes) and not timed_out
@@ -295,10 +294,6 @@ def bucket_by_length(tasks, vocab, open_delim="⟦", close_delim="⟧") -> dict[
 # -- end-to-end evaluation ---------------------------------------------------
 
 
-def _decode_program(backend, tokens) -> str:
-    return backend.vocab.detokenize(tokens)
-
-
 def evaluate(
     backend,
     corpus,
@@ -315,7 +310,10 @@ def evaluate(
     on_test_failure: greedy baseline first; the anchored pass runs only for
     tasks whose baseline failed, and its output replaces the answer only if
     it passes (so Pass@1 never drops below baseline). always: anchored pass
-    only. With beam_k, Pass@k is computed over the beam candidates.
+    only. Tasks without an anchored span, and every task under mode off, get
+    the greedy baseline under either policy. With beam_k, Pass@k is computed
+    over the beam candidates (a plain beam search where anchoring does not
+    apply).
     """
     corpus = list(corpus)
     if not corpus:
@@ -323,33 +321,30 @@ def evaluate(
     t_start = time.perf_counter()
 
     def eval_task(task: Task) -> TaskRecord:
+        def passes(tokens) -> bool:
+            return run_tests(backend.vocab.detokenize(tokens), task, timeout_ms).passed
+
         try:
             spec = parse_markup(task.prompt, open_delim, close_delim)
-            prompt_tokens, _ = resolve_anchors(spec, backend.vocab)
+            prompt_tokens, resolution = prompt = resolve_anchors(spec, backend.vocab)
             if beam_k is not None:
-                candidates = beam_search_anchored(backend, spec, config, beam_k, limits)
-                outcomes = [
-                    run_tests(_decode_program(backend, list(c.tokens)), task, timeout_ms).passed
-                    for c in candidates
-                ]
+                candidates = beam_search_anchored(backend, prompt, config, beam_k, limits)
+                outcomes = [passes(c.tokens) for c in candidates]
                 gen_len = len(candidates[0].tokens) if candidates else 0
                 return TaskRecord(task.id, None, None, any(outcomes[:1]), outcomes, gen_len)
-            if config.mode != "off" and config.activation == "always":
-                trace = anchored_decode(backend, spec, config, limits)
-                passed = run_tests(_decode_program(backend, trace.generated_tokens), task, timeout_ms).passed
+            anchor = config.mode != "off" and bool(resolution.token_positions)
+            if anchor and config.activation == "always":
+                trace = anchored_decode(backend, prompt, config, limits)
+                passed = passes(trace.generated_tokens)
                 return TaskRecord(task.id, None, passed, passed, [passed], len(trace.steps))
             base_trace = greedy_decode(backend, prompt_tokens, limits)
-            base_passed = run_tests(
-                _decode_program(backend, base_trace.generated_tokens), task, timeout_ms
-            ).passed
+            base_passed = passes(base_trace.generated_tokens)
             anchored_passed = None
             final = base_passed
             gen_len = len(base_trace.steps)
-            if not base_passed and config.mode != "off" and spec.has_anchors:
-                trace = anchored_decode(backend, spec, config, limits)
-                anchored_passed = run_tests(
-                    _decode_program(backend, trace.generated_tokens), task, timeout_ms
-                ).passed
+            if anchor and not base_passed:
+                trace = anchored_decode(backend, prompt, config, limits)
+                anchored_passed = passes(trace.generated_tokens)
                 if anchored_passed:
                     final = True
                     gen_len = len(trace.steps)

@@ -49,7 +49,6 @@ class FoldResult:
 class TuneReport:
     folds: tuple[FoldResult, ...]
     recommended: float
-    mean_best: float
     variance: float
     grid: tuple[float, ...]
     seed: int
@@ -136,7 +135,6 @@ def grid_search(evaluator, task_ids, spec: TuneSpec) -> TuneReport:
     return TuneReport(
         folds=tuple(results),
         recommended=recommended,
-        mean_best=statistics.mean(bests),
         variance=variance,
         grid=spec.grid,
         seed=spec.seed,

@@ -68,13 +68,10 @@ class VocabSpec:
                 raise ValueError(f"cannot tokenize substring {text[pos:pos + 10]!r} at offset {pos}")
         return out
 
-    def detokenize(self, tokens: list[int], skip_special: bool = True) -> str:
-        """Surface string of a token sequence; specials (mask/stop) dropped by default."""
+    def detokenize(self, tokens) -> str:
+        """Surface string of a token sequence; specials (mask/stop) are dropped."""
         if self.token_strings is None:
             raise ValueError("vocabulary has no surface strings")
-        parts = []
-        for t in tokens:
-            if skip_special and (t == self.mask_id or t in self.stop_ids):
-                continue
-            parts.append(self.token_strings[t])
-        return "".join(parts)
+        return "".join(
+            self.token_strings[t] for t in tokens if t != self.mask_id and t not in self.stop_ids
+        )

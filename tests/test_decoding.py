@@ -6,8 +6,11 @@ import pytest
 
 from anchored_decoding import (
     AnchoringConfig,
+    AnchorResolution,
     CountingBackend,
     DecodeLimits,
+    ScoreResult,
+    VocabSpec,
     anchored_decode,
     beam_search_anchored,
     build_masked_context,
@@ -20,6 +23,7 @@ from anchored_decoding import (
     resolve_anchors,
 )
 from anchored_decoding.anchoring import softmax
+from anchored_decoding.decoding import DEFAULT_STORAGE_TOP_K, FULL_STORAGE_VOCAB_LIMIT
 from anchored_decoding.errors import DecodeError, TransportError
 from anchored_decoding.toy_model import top_k_pairs
 
@@ -167,10 +171,11 @@ def test_truncated_combined_values_equal_full(backend, rng):
 
 
 def test_truncated_confidence_rejected(backend):
+    config = AnchoringConfig(mode="confidence", top_k=4)
     with pytest.raises(ValueError):
-        anchored_decode(
-            backend, parse_markup("ab⟦cd⟧"), AnchoringConfig(mode="confidence", top_k=4), LIMITS
-        )
+        anchored_decode(backend, parse_markup("ab⟦cd⟧"), config, LIMITS)
+    with pytest.raises(ValueError):
+        beam_search_anchored(backend, parse_markup("ab⟦cd⟧"), config, 2, LIMITS)
 
 
 # -- beam search -------------------------------------------------------------
@@ -178,7 +183,8 @@ def test_truncated_confidence_rejected(backend):
 
 def exhaustive_hybrid(backend, prompt, config, k, limits):
     """Enumerate every suffix allowed by the per-step top-k-of-augmented
-    candidate rule; rank by accumulated original log-prob, ties lexicographic."""
+    candidate rule (with config.top_k, among the original top-k ids only);
+    rank by accumulated original log-prob, ties lexicographic."""
     prompt_tokens, res = resolve_anchors(prompt, backend.vocab)
     stop_ids = backend.vocab.stop_ids
     done = []
@@ -197,9 +203,13 @@ def exhaustive_hybrid(backend, prompt, config, k, limits):
             aug = combine_confidence(orig, masked, config.lam)
         else:
             aug = combine_fixed(orig, masked, config.omega)
-        ids, _ = top_k_pairs(aug, k)
+        if config.top_k is None:
+            ids = top_k_pairs(aug, k)[0].tolist()
+        else:
+            eligible = top_k_pairs(orig, config.top_k)[0].tolist()
+            ids = sorted(eligible, key=lambda t: (-aug[t], t))[:k]
         logp = np.log(softmax(orig))
-        for t in ids.tolist():
+        for t in ids:
             rec(tokens + (t,), score + float(logp[t]))
 
     rec((), 0.0)
@@ -240,13 +250,14 @@ def test_beam_matches_exhaustive_enumeration(k):
     for seed in range(6):
         backend = make_backend(seed=seed, vocab_size=12, embed_dim=16, max_positions=32)
         prompt = parse_markup(random_marked_prompt(rng, backend.vocab))
-        config = fixed(1.25)
         limits = DecodeLimits(5)
-        beams = beam_search_anchored(backend, prompt, config, k, limits)
-        oracle = exhaustive_hybrid(backend, prompt, config, k, limits)
-        assert [b.tokens for b in beams] == [t for t, _ in oracle]
-        for b, (_, s) in zip(beams, oracle):
-            assert abs(b.score - s) < 1e-9
+        # top_k below the width leaves fewer candidates per prefix than k
+        for config in (fixed(1.25), fixed(1.25, top_k=1), fixed(1.25, top_k=2)):
+            beams = beam_search_anchored(backend, prompt, config, k, limits)
+            oracle = exhaustive_hybrid(backend, prompt, config, k, limits)
+            assert [b.tokens for b in beams] == [t for t, _ in oracle]
+            for b, (_, s) in zip(beams, oracle):
+                assert abs(b.score - s) < 1e-9
 
 
 def test_beam_finished_flag(backend):
@@ -321,6 +332,10 @@ def test_transport_failure_keeps_partial_trace(backend):
         partial = info.value.partial_trace
         assert partial.finished_reason == "transport_error"
         assert partial.generated_tokens == full.generated_tokens[:completed]
+    # beam search has no single trace to keep
+    with pytest.raises(DecodeError) as info:
+        beam_search_anchored(FailingBackend(backend, fail_on=3), prompt, fixed(1.25), 2, LIMITS)
+    assert info.value.partial_trace is None
 
 
 # -- trace export ------------------------------------------------------------
@@ -351,3 +366,41 @@ def test_export_trace_truncated_pairs(backend):
     assert len(obj["orig"]) == 4
     ids = [i for i, _ in obj["orig"]]
     assert ids == [i for i, _ in trace.steps[0][1].original]
+
+
+class WideBackend:
+    """Vocab-600 stub, past the full-storage limit: seeded logits per context
+    length and pass, so the original and masked vectors differ."""
+
+    vocab = VocabSpec(size=600, mask_id=0, stop_ids=frozenset({1}))
+    max_positions = 64
+
+    def score(self, context, mask_positions=frozenset(), want_attention=False):
+        rng = np.random.default_rng([len(context), int(bool(mask_positions))])
+        return ScoreResult(logits=rng.normal(size=self.vocab.size))
+
+
+def test_trace_storage_capped_past_vocab_limit():
+    backend = WideBackend()
+    assert backend.vocab.size > FULL_STORAGE_VOCAB_LIMIT
+    anchors = frozenset({1, 2})
+    ctx = [2, 3, 4, 5]
+    trace = anchored_decode(backend, (ctx, AnchorResolution(anchors, 4)), fixed(1.25), LIMITS)
+    assert trace.steps
+    for token, score in trace.steps:
+        orig = backend.score(ctx).logits
+        masked = backend.score(ctx, mask_positions=anchors).logits
+        full = (orig, masked, combine_fixed(orig, masked, 1.25))
+        stored = (score.original, score.masked, score.augmented)
+        for vec, pairs in zip(full, stored):
+            # each vector keeps its own top-k, ties to the lower id
+            best = sorted(range(len(vec)), key=lambda i: (-vec[i], i))[:DEFAULT_STORAGE_TOP_K]
+            assert pairs == [(i, vec[i]) for i in best]
+        assert token == int(np.argmax(full[2]))
+        ctx.append(token)
+    buf = io.StringIO()
+    export_trace(trace, buf)
+    for line, (_, score) in zip(buf.getvalue().splitlines(), trace.steps):
+        obj = json.loads(line)
+        for key, pairs in (("orig", score.original), ("masked", score.masked), ("aug", score.augmented)):
+            assert [(i, float(v)) for i, v in obj[key]] == pairs

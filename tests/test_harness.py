@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from anchored_decoding.harness import (
 )
 
 from conftest import make_backend, random_marked_prompt
+from test_decoding import exhaustive_hybrid
 
 LIMITS = DecodeLimits(8)
 FIXED = AnchoringConfig(mode="fixed", omega=1.25)
@@ -147,6 +149,33 @@ def test_run_tests_timeout():
     assert result.timed_out and not result.passed
 
 
+def test_run_tests_timeout_kills_background_processes(tmp_path):
+    pid_file = tmp_path / "pid"
+    cmd = f"sleep 5 & echo $! > {pid_file}; wait"
+    task = Task(id="t", prompt="p", tests=({"cmd": cmd, "file": "s.txt"},))
+    result = run_tests("x", task, timeout_ms=200)
+    assert result.timed_out and not result.passed
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 2.0
+    while _process_alive(pid):
+        assert time.monotonic() < deadline, f"test process {pid} outlived its timeout"
+        time.sleep(0.02)
+
+
+def _process_alive(pid):
+    """True while pid names a process that has not exited (zombies count as
+    exited: they wait only for their new parent to reap them)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fp:
+            return fp.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
 def test_run_tests_entry_check():
     task = Task(id="t", prompt="p", entry_check=(("ab", "abab"),))
     assert run_tests("d", task).passed  # doubling program
@@ -261,10 +290,14 @@ def test_omega_one_always_equals_baseline(backend):
     for i in range(6):
         p = random_marked_prompt(rng, backend.vocab)
         corpus.append(make_task(f"t{i}", p, baseline_program(backend, p), passing=(i % 2 == 0)))
+    # prompts without an anchored span get the greedy baseline under "always" too
+    for p in ("abcd", "ef⟦⟧g"):
+        corpus.append(make_task(p, p, baseline_program(backend, p), passing=True))
     always = evaluate(
         backend, corpus, AnchoringConfig(mode="fixed", omega=1.0, activation="always"), LIMITS
     )
     baseline = evaluate(backend, corpus, AnchoringConfig(mode="off"), LIMITS)
+    assert all(r.error is None for r in always.records)
     assert always.pass_at_1 == baseline.pass_at_1
 
 
@@ -311,6 +344,16 @@ def test_evaluate_beam_pass_at_k(backend):
     assert report.pass_at_1 == 0.0
     assert report.pass_at_k[3] == 0.0
     assert all(len(r.candidate_outcomes) == 3 for r in report.records)
+    # where anchoring does not apply (mode off, or no anchored span) the
+    # candidates come from a plain beam search: the omega = 1 oracle
+    oracle = exhaustive_hybrid(backend, parse_markup("abc"), AnchoringConfig(omega=1.0), 3, DecodeLimits(4))
+    outputs = [run_toy_program(backend.vocab.detokenize(t), "ab") for t, _ in oracle]
+    plain = Task(id="plain", prompt="abc", entry_check=(("ab", outputs[1]),))
+    for config in (FIXED, AnchoringConfig(mode="off")):
+        report = evaluate(backend, corpus + [plain], config, DecodeLimits(4), beam_k=3)
+        assert all(r.error is None for r in report.records)
+        by_id = {r.task_id: r for r in report.records}
+        assert by_id["plain"].candidate_outcomes == [out == outputs[1] for out in outputs]
 
 
 def test_evaluate_records_per_task_errors(backend):
