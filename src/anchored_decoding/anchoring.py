@@ -34,14 +34,6 @@ class PromptSpec:
         if not self.segments:
             raise ValueError("prompt must have at least one segment")
 
-    @property
-    def text(self) -> str:
-        return "".join(t for t, _ in self.segments)
-
-    @property
-    def has_anchors(self) -> bool:
-        return any(a for _, a in self.segments)
-
 
 @dataclass(frozen=True)
 class AnchoringConfig:
@@ -49,9 +41,9 @@ class AnchoringConfig:
 
     mode "fixed" uses a single strength ``omega``; mode "confidence" reweights
     the per-token logit difference by ``lam * (1 - p_t)`` where p_t is the
-    token's original softmax probability. ``top_k`` (fixed mode only)
-    restricts the candidate tokens and trace storage to the top-k original
-    logits. ``activation`` selects whether
+    token's original softmax probability. ``top_k`` (fixed mode only; set in
+    confidence mode it raises ValueError) restricts the candidate tokens and
+    trace storage to the top-k original logits. ``activation`` selects whether
     the harness anchors every task or only after a failed baseline attempt.
     """
 
@@ -72,6 +64,8 @@ class AnchoringConfig:
             raise ValueError("lambda must be nonnegative")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be positive")
+        if self.mode == "confidence" and self.top_k is not None:
+            raise ValueError("top_k truncation is only supported in fixed mode")
 
 
 @dataclass(frozen=True)

@@ -71,13 +71,16 @@ def _anchoring_config(args) -> AnchoringConfig:
         raise UsageError("--omega conflicts with --mode confidence (use --lambda)")
     if mode in ("off", "fixed") and getattr(args, "lam", None) is not None:
         raise UsageError(f"--lambda conflicts with --mode {mode}")
-    return AnchoringConfig(
-        mode=mode,
-        omega=args.omega if args.omega is not None else preset_strength(),
-        lam=args.lam if getattr(args, "lam", None) is not None else 1.0,
-        top_k=args.top_k,
-        activation=getattr(args, "activation", "on_test_failure"),
-    )
+    try:
+        return AnchoringConfig(
+            mode=mode,
+            omega=args.omega if args.omega is not None else preset_strength(),
+            lam=args.lam if getattr(args, "lam", None) is not None else 1.0,
+            top_k=args.top_k,
+            activation=getattr(args, "activation", "on_test_failure"),
+        )
+    except ValueError as exc:  # a config the flags describe is a usage error
+        raise UsageError(str(exc)) from exc
 
 
 def _add_backend_flags(p):
@@ -179,8 +182,7 @@ def _decode_prompt(args, backend, want_attention: bool):
     return anchored_decode(backend, prompt, config, limits, want_attention=want_attention)
 
 
-def _cmd_generate(args) -> int:
-    backend = _build_backend(args.backend, args.seed)
+def _cmd_generate(args, backend) -> int:
     trace = _decode_prompt(args, backend, want_attention=args.attention)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fp:
@@ -206,8 +208,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_tune(args) -> int:
-    backend = _build_backend(args.backend, args.seed)
+def _cmd_tune(args, backend) -> int:
     corpus = load_corpus(args.corpus)
     by_id = {t.id: t for t in corpus}
     limits = DecodeLimits(args.max_new)
@@ -243,8 +244,7 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    backend = _build_backend(args.backend, args.seed)
+def _cmd_eval(args, backend) -> int:
     corpus = load_corpus(args.corpus)
     config = _anchoring_config(args)
     report = evaluate(
@@ -277,9 +277,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, backend) -> int:
     if args.analysis == "dilution":
-        backend = _build_backend(args.backend, args.seed)
         curve = dilution_curve(_decode_prompt(args, backend, want_attention=True))
         fp = _out_stream(args.out)
         try:
@@ -289,7 +288,6 @@ def _cmd_analyze(args) -> int:
                 fp.close()
         return 0
     if args.analysis == "gradients":
-        backend = _build_backend(args.backend, args.seed)
         tokens = backend.vocab.tokenize(args.prompt)
         scores = gradient_attention(backend, tokens, delta=args.delta)
         fp = _out_stream(args.out)
@@ -319,8 +317,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    backend = _build_backend(args.backend, args.seed)
+def _cmd_serve(args, backend) -> int:
     server = LogitServer(backend, args.host, args.port).start()
     host, port = server.address
     print(f"serving on {host}:{port}", flush=True)
@@ -333,18 +330,20 @@ def _cmd_serve(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    backend = None
     try:
         args = parser.parse_args(argv)
+        backend = _build_backend(args.backend, args.seed) if "backend" in args else None
         if args.command == "generate":
-            return _cmd_generate(args)
+            return _cmd_generate(args, backend)
         if args.command == "tune":
-            return _cmd_tune(args)
+            return _cmd_tune(args, backend)
         if args.command == "eval":
-            return _cmd_eval(args)
+            return _cmd_eval(args, backend)
         if args.command == "analyze":
-            return _cmd_analyze(args)
+            return _cmd_analyze(args, backend)
         if args.command == "serve":
-            return _cmd_serve(args)
+            return _cmd_serve(args, backend)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -352,6 +351,9 @@ def main(argv=None) -> int:
     except (AnchorError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if isinstance(backend, RemoteBackend):
+            backend.close()
 
 
 if __name__ == "__main__":

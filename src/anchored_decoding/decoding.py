@@ -1,7 +1,7 @@
 """Autoregressive decoding: baseline greedy and anchored greedy share one
 token loop, and the hybrid anchored beam search (candidates from augmented
-logits, beam scores from original probabilities) shares its checks, its
-per-step scoring and its candidate rule."""
+logits, beam scores from original probabilities) shares its prompt
+resolution, its per-step scoring and its candidate rule."""
 
 from __future__ import annotations
 
@@ -74,8 +74,8 @@ class BeamCandidate:
 
 def _resolve_prompt(backend, prompt) -> tuple[list[int], AnchorResolution]:
     """Accept a PromptSpec (tokenized against the backend's vocabulary) or a
-    pre-resolved (prompt_tokens, AnchorResolution) pair, the form remote
-    backends without surface strings require."""
+    pre-resolved (prompt_tokens, AnchorResolution) pair, the form a backend
+    whose vocabulary has no surface strings requires."""
     if isinstance(prompt, PromptSpec):
         return resolve_anchors(prompt, backend.vocab)
     prompt_tokens, resolution = prompt
@@ -83,12 +83,10 @@ def _resolve_prompt(backend, prompt) -> tuple[list[int], AnchorResolution]:
 
 
 def _prepare(backend, prompt, config: AnchoringConfig):
-    """Checks and prompt resolution shared by anchored_decode and
+    """Prompt resolution and anchoring rule shared by anchored_decode and
     beam_search_anchored. Returns (prompt_tokens, resolution, config), the
     config replaced by None when anchoring does not apply (mode off, or no
     anchored tokens in the prompt)."""
-    if config.mode == "confidence" and config.top_k is not None:
-        raise ValueError("top_k truncation is only supported in fixed mode")
     prompt_tokens, resolution = _resolve_prompt(backend, prompt)
     applies = config.mode != "off" and resolution.token_positions
     return prompt_tokens, resolution, config if applies else None

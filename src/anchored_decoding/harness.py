@@ -265,29 +265,23 @@ def _nearest_rank(sorted_vals: list[int], pct: float) -> int:
     return sorted_vals[rank - 1]
 
 
-def bucket_by_length(tasks, vocab, open_delim="⟦", close_delim="⟧") -> dict[str, list[Task]]:
-    """Short/Medium/Long by prompt token count at the 33rd/66th nearest-rank
-    percentiles; boundary ties fall to the lower bucket."""
-    tasks = list(tasks)
-    if len(tasks) < 3:
+def bucket_by_length(lengths: dict[str, int]) -> dict[str, list[str]]:
+    """Short/Medium/Long task ids from ``{task id: prompt token count}`` at
+    the 33rd/66th nearest-rank percentiles; boundary ties fall to the lower
+    bucket. Ids keep the mapping's order."""
+    if len(lengths) < 3:
         raise ValueError("need at least 3 tasks to bucket")
-    lengths = {}
-    for task in tasks:
-        spec = parse_markup(task.prompt, open_delim, close_delim)
-        tokens, _ = resolve_anchors(spec, vocab)
-        lengths[task.id] = len(tokens)
     ordered = sorted(lengths.values())
     p33 = _nearest_rank(ordered, 33)
     p66 = _nearest_rank(ordered, 66)
     buckets = {"Short": [], "Medium": [], "Long": []}
-    for task in tasks:
-        n = lengths[task.id]
+    for task_id, n in lengths.items():
         if n <= p33:
-            buckets["Short"].append(task)
+            buckets["Short"].append(task_id)
         elif n <= p66:
-            buckets["Medium"].append(task)
+            buckets["Medium"].append(task_id)
         else:
-            buckets["Long"].append(task)
+            buckets["Long"].append(task_id)
     return buckets
 
 
@@ -314,11 +308,20 @@ def evaluate(
     the greedy baseline under either policy. With beam_k, Pass@k is computed
     over the beam candidates (a plain beam search where anchoring does not
     apply).
+
+    beam_k and timeout_ms are checked before the first task. Each prompt is
+    resolved once; a prompt that fails to parse or tokenize is an error in its
+    task's record, and that task is left out of the length buckets.
     """
     corpus = list(corpus)
     if not corpus:
         raise ValueError("empty corpus")
+    if beam_k is not None and not (1 <= beam_k <= backend.vocab.size):
+        raise ValueError(f"beam_k must be in 1..{backend.vocab.size}")
+    if timeout_ms < 1:
+        raise ValueError("timeout must be >= 1 ms")
     t_start = time.perf_counter()
+    prompt_lengths: dict[str, int] = {}  # task id -> prompt token count
 
     def eval_task(task: Task) -> TaskRecord:
         def passes(tokens) -> bool:
@@ -327,6 +330,7 @@ def evaluate(
         try:
             spec = parse_markup(task.prompt, open_delim, close_delim)
             prompt_tokens, resolution = prompt = resolve_anchors(spec, backend.vocab)
+            prompt_lengths[task.id] = len(prompt_tokens)
             if beam_k is not None:
                 candidates = beam_search_anchored(backend, prompt, config, beam_k, limits)
                 outcomes = [passes(c.tokens) for c in candidates]
@@ -367,14 +371,13 @@ def evaluate(
 
     bucket_pass1: dict[str, float] = {}
     bucket_counts: dict[str, int] = {}
-    if len(corpus) >= 3:
+    lengths = {t.id: prompt_lengths[t.id] for t in corpus if t.id in prompt_lengths}
+    if len(lengths) >= 3:
         by_id = {r.task_id: r for r in records}
-        for name, bucket_tasks in bucket_by_length(corpus, backend.vocab, open_delim, close_delim).items():
-            bucket_counts[name] = len(bucket_tasks)
-            if bucket_tasks:
-                bucket_pass1[name] = sum(
-                    1 for t in bucket_tasks if by_id[t.id].final_passed
-                ) / len(bucket_tasks)
+        for name, ids in bucket_by_length(lengths).items():
+            bucket_counts[name] = len(ids)
+            if ids:
+                bucket_pass1[name] = sum(1 for i in ids if by_id[i].final_passed) / len(ids)
 
     return EvalReport(
         records=records,

@@ -134,15 +134,8 @@ class ToyBackend:
         logits = _layernorm(h[-1]) @ self.unembed
         return logits, last_row
 
-    # -- public API ---------------------------------------------------------
-
-    def score(
-        self,
-        context_tokens,
-        mask_positions=frozenset(),
-        want_attention: bool = False,
-        top_k: int | None = None,
-    ) -> ScoreResult:
+    def _tokens(self, context_tokens) -> np.ndarray:
+        """The context as an int64 array, checked for score() and embed()."""
         tokens = np.asarray(context_tokens, dtype=np.int64)
         if tokens.ndim != 1 or len(tokens) == 0:
             raise ValueError("context_tokens must be a non-empty 1-d sequence")
@@ -152,6 +145,18 @@ class ToyBackend:
             )
         if np.any(tokens < 0) or np.any(tokens >= self.vocab.size):
             raise ValueError("token id out of vocabulary range")
+        return tokens
+
+    # -- public API ---------------------------------------------------------
+
+    def score(
+        self,
+        context_tokens,
+        mask_positions=frozenset(),
+        want_attention: bool = False,
+        top_k: int | None = None,
+    ) -> ScoreResult:
+        tokens = self._tokens(context_tokens)
         for m in mask_positions:
             if not (0 <= m < len(tokens)):
                 raise ValueError(f"mask position {m} out of range for context length {len(tokens)}")
@@ -173,10 +178,7 @@ class ToyBackend:
 
     def embed(self, context_tokens) -> np.ndarray:
         """Embedded input (token + positional) for the given context."""
-        tokens = np.asarray(context_tokens, dtype=np.int64)
-        if len(tokens) > self.max_positions:
-            raise CapacityError("context too long")
-        return self._embed(tokens)
+        return self._embed(self._tokens(context_tokens))
 
 
 class CountingBackend:

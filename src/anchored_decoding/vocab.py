@@ -11,8 +11,9 @@ DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789+-*/=()<>,.:; "
 class VocabSpec:
     """Vocabulary contract shared by all backends.
 
-    ``token_strings`` (id -> surface string, bijective) exists only for the toy
-    backend; remote vocabularies are opaque id spaces.
+    ``token_strings`` (id -> surface string, bijective) exists for the toy
+    backend and for a remote backend whose server sends them; without it the
+    vocabulary is an opaque id space.
     """
 
     size: int

@@ -83,6 +83,7 @@ def handle_request(backend, line: str) -> dict:
             "mask_id": v.mask_id,
             "stop_ids": sorted(v.stop_ids),
             "max_positions": backend.max_positions,
+            "token_strings": None if v.token_strings is None else sorted(v.token_strings.items()),
         }
     if op != "score":
         return _error("bad_request", f"unknown op {op!r}")
@@ -167,9 +168,10 @@ class RemoteBackend:
                 size=meta["vocab_size"],
                 mask_id=meta["mask_id"],
                 stop_ids=frozenset(meta["stop_ids"]),
+                token_strings=dict(meta["token_strings"]) if meta.get("token_strings") else None,
             )
             self.max_positions = meta["max_positions"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise TransportError("malformed meta response", raw=meta) from exc
 
     def _request(self, obj: dict) -> dict:

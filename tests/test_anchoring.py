@@ -202,6 +202,8 @@ def test_config_validation():
         AnchoringConfig(mode="confidence", lam=-1.0)
     with pytest.raises(ValueError):
         AnchoringConfig(top_k=0)
+    with pytest.raises(ValueError, match="only supported in fixed mode"):
+        AnchoringConfig(mode="confidence", top_k=2)
 
 
 def test_anchor_positions_must_be_in_prompt():

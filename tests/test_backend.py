@@ -130,6 +130,18 @@ def test_empty_context_rejected(backend):
         backend.score([])
 
 
+def test_embed_checks_tokens_like_score(backend):
+    for bad in ([-1], [backend.vocab.size], []):
+        for probe in (backend.score, backend.embed):
+            with pytest.raises(ValueError):
+                probe(bad)
+    too_long = [2] * (backend.max_positions + 1)
+    for probe in (backend.score, backend.embed):
+        with pytest.raises(CapacityError):
+            probe(too_long)
+    assert backend.embed([2, 3]).shape == (2, backend.config.embed_dim)
+
+
 def test_config_validation():
     vocab = VocabSpec.toy(8)
     with pytest.raises(ValueError):

@@ -68,6 +68,26 @@ def test_lambda_with_fixed_mode_is_usage_error(capsys):
     assert "--lambda" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--top-k", "0"],
+        ["--mode", "confidence", "--top-k", "2"],
+        ["--mode", "confidence", "--lambda", "-1"],
+    ],
+)
+def test_invalid_config_is_usage_error(capsys, tmp_path, flags):
+    corpus = str(eval_corpus(tmp_path))
+    for command in (
+        ["generate", "--prompt", "ab⟦cd⟧"],
+        ["eval", "--corpus", corpus, "--max-new", "8"],
+        ["analyze", "dilution", "--prompt", "ab⟦cd⟧"],
+    ):
+        code, out, err = run_cli(capsys, *command, "--backend", BACKEND, *flags)
+        assert code == 1, (command, err)
+        assert err.startswith("error: ") and out == ""
+
+
 def test_unknown_backend_usage_error(capsys):
     code, _, err = run_cli(capsys, "generate", "--backend", "gpu:0", "--prompt", "⟦a⟧")
     assert code == 1
@@ -134,6 +154,31 @@ def test_eval_human_and_json_agree(capsys, tmp_path):
     assert f"pass@1: {json.loads(json_out)['pass_at_1']:.3f}" in human_out
 
 
+def test_generate_and_eval_over_remote_match_local(capsys, tmp_path):
+    from anchored_decoding import LogitServer
+    from anchored_decoding.cli import _build_backend
+
+    # the CLI default backend, served: generate needs its surface strings
+    with LogitServer(_build_backend("toy:seed=0", None)) as server:
+        remote = "remote:{}:{}".format(*server.address)
+        code, remote_out, err = run_cli(capsys, "generate", "--backend", remote, "--prompt", "ab⟦cd⟧", "--json")
+        assert code == 0, err
+        code, local_out, _ = run_cli(capsys, "generate", "--prompt", "ab⟦cd⟧", "--json")
+        assert code == 0
+        assert json.loads(remote_out) == json.loads(local_out)
+        assert json.loads(remote_out)["text"]
+    corpus = str(eval_corpus(tmp_path))
+    with LogitServer(make_backend(seed=7, max_positions=256)) as server:
+        remote = "remote:{}:{}".format(*server.address)
+        reports = []
+        for backend in (remote, BACKEND):
+            code, out, err = run_cli(capsys, "eval", "--backend", backend, "--corpus", corpus, "--max-new", "8", "--json")
+            assert code == 0, err
+            reports.append({k: v for k, v in json.loads(out).items() if k != "wall_seconds"})
+    assert reports[0] == reports[1]
+    assert all(task["error"] is None for task in reports[0]["tasks"])
+
+
 def test_tune_finds_fixture_peak(capsys, tmp_path, monkeypatch):
     # synthetic unimodal evaluator wired under the CLI's tune path
     import anchored_decoding.cli as cli_mod
@@ -180,6 +225,9 @@ def test_analyze_gradients_csv(capsys, tmp_path):
     lines = out_path.read_text().strip().split("\n")
     assert lines[0] == "position,score"
     assert len(lines) == 5
+    code, _, err = run_cli(capsys, "analyze", "gradients", "--backend", BACKEND, "--prompt", "")
+    assert code == 2
+    assert "non-empty" in err
 
 
 def test_analyze_lengths_csv(capsys, tmp_path):

@@ -171,11 +171,10 @@ def test_truncated_combined_values_equal_full(backend, rng):
 
 
 def test_truncated_confidence_rejected(backend):
-    config = AnchoringConfig(mode="confidence", top_k=4)
     with pytest.raises(ValueError):
-        anchored_decode(backend, parse_markup("ab⟦cd⟧"), config, LIMITS)
+        anchored_decode(backend, parse_markup("ab⟦cd⟧"), AnchoringConfig(mode="confidence", top_k=4), LIMITS)
     with pytest.raises(ValueError):
-        beam_search_anchored(backend, parse_markup("ab⟦cd⟧"), config, 2, LIMITS)
+        beam_search_anchored(backend, parse_markup("ab⟦cd⟧"), AnchoringConfig(mode="confidence", top_k=4), 2, LIMITS)
 
 
 # -- beam search -------------------------------------------------------------

@@ -13,6 +13,7 @@ from anchored_decoding import (
     parse_markup,
     resolve_anchors,
 )
+from anchored_decoding import harness
 from anchored_decoding.harness import (
     Task,
     bucket_by_length,
@@ -231,28 +232,26 @@ def test_pass_at_k_validation():
 
 
 def bucket_tasks(lengths):
-    return [
-        Task(id=f"t{i:03d}", prompt="⟦" + "a" * n + "⟧", entry_check=(("a", "a"),))
-        for i, n in enumerate(lengths)
-    ]
+    """Prompt token counts by task id, as evaluate() collects them."""
+    return {f"t{i:03d}": n for i, n in enumerate(lengths)}
 
 
-def test_bucket_three_tasks(backend):
-    buckets = bucket_by_length(bucket_tasks([1, 2, 3]), backend.vocab)
+def test_bucket_three_tasks():
+    buckets = bucket_by_length(bucket_tasks([1, 2, 3]))
     assert [len(buckets[b]) for b in ("Short", "Medium", "Long")] == [1, 1, 1]
 
 
-def test_bucket_all_equal(backend):
-    buckets = bucket_by_length(bucket_tasks([4, 4, 4, 4]), backend.vocab)
+def test_bucket_all_equal():
+    buckets = bucket_by_length(bucket_tasks([4, 4, 4, 4]))
     assert len(buckets["Short"]) == 4
     assert not buckets["Medium"] and not buckets["Long"]
 
 
-def test_bucket_sort_and_slice_oracle(backend, rng):
+def test_bucket_sort_and_slice_oracle(rng):
     import math
 
     lengths = [int(x) for x in rng.integers(1, 40, size=99)]
-    buckets = bucket_by_length(bucket_tasks(lengths), backend.vocab)
+    buckets = bucket_by_length(bucket_tasks(lengths))
     ordered = sorted(lengths)
     p33 = ordered[max(1, math.ceil(0.33 * 99)) - 1]
     p66 = ordered[max(1, math.ceil(0.66 * 99)) - 1]
@@ -264,9 +263,9 @@ def test_bucket_sort_and_slice_oracle(backend, rng):
     assert len(buckets["Long"]) == want_long
 
 
-def test_bucket_too_few(backend):
+def test_bucket_too_few():
     with pytest.raises(ValueError):
-        bucket_by_length(bucket_tasks([1, 2]), backend.vocab)
+        bucket_by_length(bucket_tasks([1, 2]))
 
 
 # -- evaluate ----------------------------------------------------------------
@@ -357,12 +356,59 @@ def test_evaluate_beam_pass_at_k(backend):
 
 
 def test_evaluate_records_per_task_errors(backend):
-    good = make_task("good", "ab⟦cd⟧", baseline_program(backend, "ab⟦cd⟧"), passing=True)
-    bad = Task(id="bad", prompt="⟦@@@⟧", entry_check=(("a", "a"),))  # untokenizable
-    report = evaluate(backend, [good, bad], FIXED, LIMITS)
+    good = [
+        make_task(tid, p, baseline_program(backend, p), passing=True)
+        for tid, p in (("good", "ab⟦cd⟧"), ("good2", "abc⟦de⟧f"), ("good3", "⟦a⟧bcdefg"))
+    ]
+    bad = [
+        Task(id="bad", prompt="⟦@@@⟧", entry_check=(("a", "a"),)),  # untokenizable
+        Task(id="unbalanced", prompt="ab⟦cd", entry_check=(("a", "a"),)),  # does not parse
+    ]
+    report = evaluate(backend, good + bad, FIXED, LIMITS)
     by_id = {r.task_id: r for r in report.records}
     assert by_id["good"].final_passed
-    assert by_id["bad"].error is not None and not by_id["bad"].final_passed
+    assert all(by_id[t.id].final_passed and by_id[t.id].error is None for t in good)
+    for t in bad:
+        assert by_id[t.id].error is not None and not by_id[t.id].final_passed
+    # a task whose prompt does not resolve is left out of the length buckets
+    assert sum(report.bucket_counts.values()) == len(good)
+
+
+def count_harness_calls(monkeypatch, *names):
+    """Wrap the named functions where harness looks them up; returns the
+    live call counts by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, inner):
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    return calls
+
+
+def test_evaluate_checks_run_inputs_before_any_task(backend, monkeypatch):
+    calls = count_harness_calls(monkeypatch, "parse_markup")
+    corpus = [make_task(f"t{i}", p, "d") for i, p in enumerate(("ab⟦cd⟧", "abc⟦d⟧", "⟦a⟧bc"))]
+    counting = CountingBackend(backend)
+    for bad in ({"beam_k": 0}, {"beam_k": backend.vocab.size + 1}, {"timeout_ms": 0}):
+        with pytest.raises(ValueError):
+            evaluate(counting, corpus, FIXED, LIMITS, **bad)
+    assert counting.calls == 0
+    assert calls["parse_markup"] == 0  # no task started
+
+
+def test_evaluate_resolves_each_prompt_once(backend, monkeypatch):
+    calls = count_harness_calls(monkeypatch, "parse_markup", "resolve_anchors")
+    prompts = ("ab⟦cd⟧", "abc⟦de⟧f", "⟦a⟧bcdefg", "abcd")
+    corpus = [make_task(f"t{i}", p, baseline_program(backend, p)) for i, p in enumerate(prompts)]
+    report = evaluate(backend, corpus, FIXED, LIMITS)
+    assert calls == {"parse_markup": 4, "resolve_anchors": 4}
+    assert sum(report.bucket_counts.values()) == 4
 
 
 def test_evaluate_bucket_counts_sum(backend):

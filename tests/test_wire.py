@@ -8,7 +8,9 @@ import pytest
 from anchored_decoding import (
     AnchoringConfig,
     DecodeLimits,
+    LogitServer,
     RemoteBackend,
+    VocabSpec,
     anchored_decode,
     parse_markup,
     resolve_anchors,
@@ -53,6 +55,17 @@ def test_meta(remote, server_backend):
     assert remote.vocab.mask_id == server_backend.vocab.mask_id
     assert remote.vocab.stop_ids == server_backend.vocab.stop_ids
     assert remote.max_positions == server_backend.max_positions
+    assert remote.vocab.token_strings == server_backend.vocab.token_strings
+
+
+def test_meta_without_surface_strings_gives_opaque_vocab():
+    class Opaque:
+        vocab = VocabSpec(size=8, mask_id=0, stop_ids=frozenset({1}))
+        max_positions = 16
+
+    assert handle_request(Opaque(), json.dumps({"v": 1, "op": "meta"}))["token_strings"] is None
+    with LogitServer(Opaque()) as server, RemoteBackend(*server.address) as rb:
+        assert rb.vocab == Opaque.vocab
 
 
 def test_loopback_score_bit_exact(remote, server_backend):
@@ -152,12 +165,13 @@ def test_remote_decode_matches_local(server, server_backend):
     config = AnchoringConfig(mode="fixed", omega=1.25)
     limits = DecodeLimits(6)
     local = anchored_decode(server_backend, prompt, config, limits)
-    # remote vocabularies are opaque, so the prompt is resolved locally and
-    # passed pre-tokenized
+    # the prompt either as markup, tokenized with the surface strings the
+    # server sends, or resolved locally and passed pre-tokenized
     resolved = resolve_anchors(prompt, server_backend.vocab)
     with RemoteBackend(host, port) as rb:
-        over_wire = anchored_decode(rb, resolved, config, limits)
-    assert over_wire.generated_tokens == local.generated_tokens
+        for remote_prompt in (prompt, resolved):
+            over_wire = anchored_decode(rb, remote_prompt, config, limits)
+            assert over_wire.generated_tokens == local.generated_tokens
 
 
 def test_connect_failure_raises_transport_error():
