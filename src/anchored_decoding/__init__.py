@@ -26,7 +26,7 @@ from .decoding import (
 from .toy_model import CountingBackend, ScoreResult, ToyBackend, ToyModelConfig
 from .tuning import TuneReport, TuneSpec, grid_search, kfold_split, preset_strength
 from .vocab import VocabSpec
-from .wire import LogitServer, RemoteBackend, serve
+from .wire import LogitServer, RemoteBackend
 
 __version__ = "0.1.0"
 
@@ -60,5 +60,4 @@ __all__ = [
     "parse_markup",
     "preset_strength",
     "resolve_anchors",
-    "serve",
 ]

@@ -168,9 +168,10 @@ def combine_fixed(original, masked, omega: float) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    m = np.max(logits)
+    """Softmax along the last axis."""
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(logits - m)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def combine_confidence(original, masked, lam: float) -> np.ndarray:

@@ -41,25 +41,25 @@ class _Parser(argparse.ArgumentParser):
 def _build_backend(selector: str, seed_override: int | None):
     kind, _, rest = selector.partition(":")
     if kind == "toy":
-        opts = {}
+        opts = {"seed": 0, "vocab": 32, "dim": 32, "layers": 2, "heads": 4, "max_positions": 256}
         for part in filter(None, rest.split(":")):
             key, _, val = part.partition("=")
+            if key not in opts or not val.removeprefix("-").isdecimal():
+                raise UsageError(f"bad toy backend option {part!r} (integer options: {', '.join(opts)})")
             opts[key] = int(val)
-        seed = seed_override if seed_override is not None else opts.get("seed", 0)
-        vocab = VocabSpec.toy(opts.get("vocab", 32))
         return ToyBackend(
             ToyModelConfig(
-                seed=seed,
-                vocab=vocab,
-                embed_dim=opts.get("dim", 32),
-                n_layers=opts.get("layers", 2),
-                n_heads=opts.get("heads", 4),
-                max_positions=opts.get("max_positions", 256),
+                seed=seed_override if seed_override is not None else opts["seed"],
+                vocab=VocabSpec.toy(opts["vocab"]),
+                embed_dim=opts["dim"],
+                n_layers=opts["layers"],
+                n_heads=opts["heads"],
+                max_positions=opts["max_positions"],
             )
         )
     if kind == "remote":
         host, _, port = rest.partition(":")
-        if not host or not port:
+        if not host or not port.isdecimal():
             raise UsageError("remote backend needs remote:host:port")
         return RemoteBackend(host, int(port))
     raise UsageError(f"unknown backend selector {selector!r}")
@@ -318,13 +318,13 @@ def _cmd_analyze(args, backend) -> int:
 
 
 def _cmd_serve(args, backend) -> int:
-    server = LogitServer(backend, args.host, args.port).start()
-    host, port = server.address
-    print(f"serving on {host}:{port}", flush=True)
-    try:
-        server._thread.join()
-    except KeyboardInterrupt:
-        server.stop()
+    with LogitServer(backend, args.host, args.port) as server:
+        host, port = server.address
+        print(f"serving on {host}:{port}", flush=True)
+        try:
+            server.wait()
+        except KeyboardInterrupt:
+            pass
     return 0
 
 

@@ -309,15 +309,18 @@ def evaluate(
     over the beam candidates (a plain beam search where anchoring does not
     apply).
 
-    beam_k and timeout_ms are checked before the first task. Each prompt is
-    resolved once; a prompt that fails to parse or tokenize is an error in its
-    task's record, and that task is left out of the length buckets.
+    beam_k, config.top_k and timeout_ms are checked before the first task.
+    Each prompt is resolved once; a prompt that fails to parse or tokenize is
+    an error in its task's record, and that task is left out of the length
+    buckets.
     """
     corpus = list(corpus)
     if not corpus:
         raise ValueError("empty corpus")
     if beam_k is not None and not (1 <= beam_k <= backend.vocab.size):
         raise ValueError(f"beam_k must be in 1..{backend.vocab.size}")
+    if config.top_k is not None and config.top_k > backend.vocab.size:
+        raise ValueError(f"top_k must be in 1..{backend.vocab.size}")
     if timeout_ms < 1:
         raise ValueError("timeout must be >= 1 ms")
     t_start = time.perf_counter()

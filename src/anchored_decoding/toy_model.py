@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .anchoring import softmax
 from .errors import CapacityError
 from .vocab import VocabSpec
 
@@ -60,12 +61,6 @@ def _layernorm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps)
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 class ToyBackend:
@@ -124,7 +119,7 @@ class ToyBackend:
             v = (x @ p["wv"]).reshape(T, cfg.n_heads, hd)
             scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(hd)
             scores = np.where(causal[None, :, :], scores, -np.inf)
-            attn = _softmax(scores)
+            attn = softmax(scores)
             ctx = np.einsum("hqk,khd->qhd", attn, v).reshape(T, d)
             h = h + ctx @ p["wo"]
             x = _layernorm(h)
@@ -136,7 +131,10 @@ class ToyBackend:
 
     def _tokens(self, context_tokens) -> np.ndarray:
         """The context as an int64 array, checked for score() and embed()."""
-        tokens = np.asarray(context_tokens, dtype=np.int64)
+        try:
+            tokens = np.asarray(context_tokens, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError("token id out of vocabulary range") from exc
         if tokens.ndim != 1 or len(tokens) == 0:
             raise ValueError("context_tokens must be a non-empty 1-d sequence")
         if len(tokens) > self.max_positions:

@@ -1,9 +1,10 @@
 """Newline-delimited JSON wire protocol: a logit server around a local
 backend and a client backend speaking the same score() interface.
 
-Logits travel as (id, decimal-string) pairs with 17 significant digits,
-which round-trips 64-bit floats exactly; loopback results are bit-identical
-to local scoring.
+Every reply begins ``{"v": 1, "ok": ...}``; an error reply adds ``code`` and
+``message``. Logits travel as (id, decimal-string) pairs with 17 significant
+digits, which round-trips 64-bit floats exactly; loopback results are
+bit-identical to local scoring.
 """
 
 from __future__ import annotations
@@ -21,49 +22,26 @@ from .vocab import VocabSpec
 
 PROTOCOL_VERSION = 1
 
-_SCORE_FIELDS = {"v", "op", "tokens", "mask_positions", "want_attention", "top_k"}
-_META_FIELDS = {"v", "op"}
+# the fields each op accepts
+_FIELDS = {"meta": {"v", "op"}, "score": {"v", "op", "tokens", "mask_positions", "want_attention", "top_k"}}
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _reply(**fields) -> dict:
+    return {"v": PROTOCOL_VERSION, "ok": True, **fields}
+
+
 def _error(code: str, message: str) -> dict:
     return {"v": PROTOCOL_VERSION, "ok": False, "code": code, "message": message}
 
 
-class ProtocolError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _validate_score_request(req: dict):
-    unknown = set(req) - _SCORE_FIELDS
-    if unknown:
-        raise ProtocolError("bad_request", f"unknown fields: {sorted(unknown)}")
-    tokens = req.get("tokens")
-    if not isinstance(tokens, list) or not tokens or not all(isinstance(t, int) for t in tokens):
-        raise ProtocolError("bad_request", "tokens must be a non-empty list of ints")
-    masks = req.get("mask_positions", [])
-    if not isinstance(masks, list) or not all(isinstance(m, int) for m in masks):
-        raise ProtocolError("bad_request", "mask_positions must be a list of ints")
-    for m in masks:
-        if not (0 <= m < len(tokens)):
-            raise ProtocolError("bad_mask_index", f"mask index {m} out of range for {len(tokens)} tokens")
-    want_attention = req.get("want_attention", False)
-    if not isinstance(want_attention, bool):
-        raise ProtocolError("bad_request", "want_attention must be a bool")
-    top_k = req.get("top_k")
-    if top_k is not None and (not isinstance(top_k, int) or top_k < 1):
-        raise ProtocolError("bad_request", "top_k must be a positive int or null")
-    return tokens, masks, want_attention, top_k
-
-
 def handle_request(backend, line: str) -> dict:
     """One request line -> one response object. Pure apart from the backend
-    call; the server stays stateless across requests."""
+    call; the server stays stateless across requests. The whole request is
+    checked (version, op, the op's fields and their types) before any work."""
     try:
         req = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -73,24 +51,36 @@ def handle_request(backend, line: str) -> dict:
     if req.get("v") != PROTOCOL_VERSION:
         return _error("bad_request", f"unsupported protocol version {req.get('v')!r}")
     op = req.get("op")
-    if op == "meta":
-        unknown = set(req) - _META_FIELDS
-        if unknown:
-            return _error("bad_request", f"unknown fields: {sorted(unknown)}")
-        v = backend.vocab
-        return {
-            "vocab_size": v.size,
-            "mask_id": v.mask_id,
-            "stop_ids": sorted(v.stop_ids),
-            "max_positions": backend.max_positions,
-            "token_strings": None if v.token_strings is None else sorted(v.token_strings.items()),
-        }
-    if op != "score":
+    fields = _FIELDS.get(op) if isinstance(op, str) else None
+    if fields is None:
         return _error("bad_request", f"unknown op {op!r}")
-    try:
-        tokens, masks, want_attention, top_k = _validate_score_request(req)
-    except ProtocolError as exc:
-        return _error(exc.code, str(exc))
+    unknown = set(req) - fields
+    if unknown:
+        return _error("bad_request", f"unknown fields: {sorted(unknown)}")
+    if op == "meta":
+        v = backend.vocab
+        return _reply(
+            vocab_size=v.size,
+            mask_id=v.mask_id,
+            stop_ids=sorted(v.stop_ids),
+            max_positions=backend.max_positions,
+            token_strings=None if v.token_strings is None else sorted(v.token_strings.items()),
+        )
+    tokens = req.get("tokens")
+    if not isinstance(tokens, list) or not tokens or not all(isinstance(t, int) for t in tokens):
+        return _error("bad_request", "tokens must be a non-empty list of ints")
+    masks = req.get("mask_positions", [])
+    if not isinstance(masks, list) or not all(isinstance(m, int) for m in masks):
+        return _error("bad_request", "mask_positions must be a list of ints")
+    for m in masks:
+        if not (0 <= m < len(tokens)):
+            return _error("bad_mask_index", f"mask index {m} out of range for {len(tokens)} tokens")
+    want_attention = req.get("want_attention", False)
+    if not isinstance(want_attention, bool):
+        return _error("bad_request", "want_attention must be a bool")
+    top_k = req.get("top_k")
+    if top_k is not None and (not isinstance(top_k, int) or top_k < 1):
+        return _error("bad_request", "top_k must be a positive int or null")
     try:
         res = backend.score(tokens, frozenset(masks), want_attention=want_attention, top_k=top_k)
     except CapacityError as exc:
@@ -98,18 +88,16 @@ def handle_request(backend, line: str) -> dict:
     except ValueError as exc:
         return _error("bad_request", str(exc))
     ids = res.ids if res.ids is not None else np.arange(len(res.logits))
-    return {
-        "v": PROTOCOL_VERSION,
-        "ok": True,
-        "logits": [[str(int(i)), _fmt(v)] for i, v in zip(ids, res.logits)],
-        "attention": None if res.attention is None else [_fmt(a) for a in res.attention],
-    }
+    return _reply(
+        logits=[[str(int(i)), _fmt(v)] for i, v in zip(ids, res.logits)],
+        attention=None if res.attention is None else [_fmt(a) for a in res.attention],
+    )
 
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
+            line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
             response = handle_request(self.server.backend, line)
@@ -119,35 +107,34 @@ class _Handler(socketserver.StreamRequestHandler):
 
 class LogitServer:
     """Threaded TCP server; one JSON request per line, one response per
-    request, connection kept open across requests (including errors)."""
+    request, connection kept open across requests (including errors).
+    Serving when the constructor returns, until stop() or the end of a
+    ``with`` block."""
 
     def __init__(self, backend, host: str = "127.0.0.1", port: int = 0):
         self._server = socketserver.ThreadingTCPServer((host, port), _Handler, bind_and_activate=True)
         self._server.daemon_threads = True
         self._server.backend = backend
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread.start()
 
     @property
     def address(self) -> tuple[str, int]:
         return self._server.server_address
 
-    def start(self) -> "LogitServer":
-        self._thread.start()
-        return self
+    def wait(self):
+        """Block until the server has stopped."""
+        self._thread.join()
 
     def stop(self):
         self._server.shutdown()
         self._server.server_close()
 
     def __enter__(self):
-        return self.start()
+        return self
 
     def __exit__(self, *exc):
         self.stop()
-
-
-def serve(backend, host: str = "127.0.0.1", port: int = 0) -> LogitServer:
-    return LogitServer(backend, host, port).start()
 
 
 class RemoteBackend:
@@ -162,19 +149,27 @@ class RemoteBackend:
             raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
         self._file = self._sock.makefile("rwb")
         self._lock = threading.Lock()
+        try:
+            self.vocab, self.max_positions = self._meta()
+        except BaseException:
+            self.close()
+            raise
+
+    def _meta(self) -> tuple[VocabSpec, int]:
         meta = self._request({"v": PROTOCOL_VERSION, "op": "meta"})
         try:
-            self.vocab = VocabSpec(
+            vocab = VocabSpec(
                 size=meta["vocab_size"],
                 mask_id=meta["mask_id"],
                 stop_ids=frozenset(meta["stop_ids"]),
                 token_strings=dict(meta["token_strings"]) if meta.get("token_strings") else None,
             )
-            self.max_positions = meta["max_positions"]
+            return vocab, meta["max_positions"]
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError("malformed meta response", raw=meta) from exc
 
     def _request(self, obj: dict) -> dict:
+        """One request -> its checked reply; an error reply raises what its code maps to."""
         try:
             with self._lock:
                 self._file.write((json.dumps(obj) + "\n").encode("utf-8"))
@@ -185,9 +180,19 @@ class RemoteBackend:
         if not raw:
             raise TransportError("server closed the connection")
         try:
-            return json.loads(raw.decode("utf-8"))
-        except json.JSONDecodeError as exc:
+            resp = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # invalid JSON or UTF-8
             raise TransportError(f"invalid JSON from server: {exc}", raw=raw) from exc
+        if not isinstance(resp, dict) or resp.get("v") != PROTOCOL_VERSION or not isinstance(resp.get("ok"), bool):
+            raise TransportError("malformed reply envelope", raw=resp)
+        if resp["ok"]:
+            return resp
+        code, message = resp.get("code"), resp.get("message")
+        if code == "bad_mask_index":
+            raise ValueError(message)
+        if code == "context_too_long":
+            raise CapacityError(message)
+        raise TransportError(f"server error {code}: {message}", raw=resp)
 
     def score(self, context_tokens, mask_positions=frozenset(), want_attention=False, top_k=None) -> ScoreResult:
         req = {
@@ -199,28 +204,21 @@ class RemoteBackend:
             "top_k": top_k,
         }
         resp = self._request(req)
-        if not resp.get("ok"):
-            code = resp.get("code")
-            if code == "bad_mask_index":
-                raise ValueError(resp.get("message", code))
-            if code == "context_too_long":
-                raise CapacityError(resp.get("message", code))
-            raise TransportError(f"server error {code}: {resp.get('message')}", raw=resp)
         try:
-            pairs = [(int(i), float(v)) for i, v in resp["logits"]]
+            ids = [int(i) for i, _ in resp["logits"]]
+            values = np.array([float(v) for _, v in resp["logits"]])
             attention = resp.get("attention")
+            att = None if attention is None else np.array([float(a) for a in attention])
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError("malformed score response", raw=resp) from exc
-        att = None if attention is None else np.array([float(a) for a in attention])
+        # n distinct ids in range: a full reply then orders into the whole vector
+        size = self.vocab.size
+        n = size if top_k is None else top_k
+        if len(ids) != n or len(set(ids)) != n or not all(0 <= i < size for i in ids):
+            raise TransportError(f"score response must carry {n} distinct ids in 0..{size - 1}", raw=resp)
         if top_k is None:
-            logits = np.empty(self.vocab.size)
-            logits[[i for i, _ in pairs]] = [v for _, v in pairs]
-            return ScoreResult(logits=logits, attention=att)
-        return ScoreResult(
-            logits=np.array([v for _, v in pairs]),
-            ids=np.array([i for i, _ in pairs], dtype=np.int64),
-            attention=att,
-        )
+            return ScoreResult(logits=values[np.argsort(ids)], attention=att)
+        return ScoreResult(logits=values, ids=np.array(ids, dtype=np.int64), attention=att)
 
     def close(self):
         try:

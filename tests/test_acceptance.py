@@ -11,6 +11,7 @@ from anchored_decoding import (
     AnchoringConfig,
     CountingBackend,
     DecodeLimits,
+    LogitServer,
     TuneSpec,
     anchored_decode,
     beam_search_anchored,
@@ -23,7 +24,6 @@ from anchored_decoding import (
     measure_overhead,
     parse_markup,
     resolve_anchors,
-    serve,
 )
 from anchored_decoding.anchoring import softmax
 from anchored_decoding.harness import Task, evaluate, run_toy_program
@@ -298,7 +298,7 @@ def test_criterion_9_wire_protocol():
     rng = np.random.default_rng(909)
     backend = make_backend(seed=7)
     with criterion(9, "wire protocol loopback bit-exactness (500 requests)"):
-        server = serve(backend)
+        server = LogitServer(backend)
         try:
             host, port = server.address
             with socket.create_connection((host, port), timeout=10) as sock:

@@ -176,6 +176,16 @@ def test_combine_confidence_closed_form(rng):
         assert np.allclose(combine_confidence(a, b, lam), want, atol=1e-9)
 
 
+def test_softmax_rows_along_last_axis(rng):
+    # the attention kernel's causal rows (-inf above the diagonal) and the
+    # decoder's 1-d vectors go through the same function
+    scores = np.where(np.tril(np.ones((5, 5), dtype=bool)), rng.normal(size=(5, 5)), -np.inf)
+    rows = softmax(scores)
+    for row, want in zip(rows, scores):
+        assert np.array_equal(row, softmax(want))
+    assert np.allclose(rows.sum(axis=-1), 1.0) and np.all(np.triu(rows, 1) == 0)
+
+
 def test_combine_confidence_uniform_degenerates_to_fixed(rng):
     V = 16
     a = np.full(V, 0.37)

@@ -1,9 +1,10 @@
 import json
+import socket
 
 import numpy as np
 import pytest
 
-from anchored_decoding import __version__
+from anchored_decoding import LogitServer, RemoteBackend, __version__
 from anchored_decoding.cli import main
 from anchored_decoding.harness import Task, write_corpus
 
@@ -91,6 +92,32 @@ def test_invalid_config_is_usage_error(capsys, tmp_path, flags):
 def test_unknown_backend_usage_error(capsys):
     code, _, err = run_cli(capsys, "generate", "--backend", "gpu:0", "--prompt", "⟦a⟧")
     assert code == 1
+    # an unknown toy option, a non-integer value, a non-integer port
+    for selector, named in (("toy:sed=3:vocab=16", "sed=3"), ("toy:seed=x", "seed=x"), ("remote:127.0.0.1:x", "remote")):
+        code, out, err = run_cli(capsys, "generate", "--backend", selector, "--prompt", "⟦a⟧")
+        assert code == 1 and out == "" and named in err, (selector, err)
+
+
+def test_eval_top_k_above_vocab_exits_before_any_task(capsys, tmp_path):
+    corpus = str(eval_corpus(tmp_path))
+    code, out, err = run_cli(capsys, "eval", "--backend", BACKEND, "--corpus", corpus, "--top-k", "17")
+    assert code == 2 and out == "" and "top_k must be in 1..16" in err
+
+
+def test_serve_stops_on_interrupt(capsys, monkeypatch):
+    served = []
+
+    def interrupted(server):
+        with RemoteBackend(*server.address) as rb:
+            served.append((server.address, rb.vocab.size))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(LogitServer, "wait", interrupted)
+    code, out, _ = run_cli(capsys, "serve", "--backend", BACKEND)
+    (address, size), = served
+    assert code == 0 and out == "serving on {}:{}\n".format(*address) and size == 16
+    with pytest.raises(OSError):  # stopped and closed
+        socket.create_connection(address, timeout=1).close()
 
 
 def test_missing_corpus_runtime_error(capsys):

@@ -398,6 +398,8 @@ def test_evaluate_checks_run_inputs_before_any_task(backend, monkeypatch):
     for bad in ({"beam_k": 0}, {"beam_k": backend.vocab.size + 1}, {"timeout_ms": 0}):
         with pytest.raises(ValueError):
             evaluate(counting, corpus, FIXED, LIMITS, **bad)
+    with pytest.raises(ValueError, match="top_k"):
+        evaluate(counting, corpus, AnchoringConfig(mode="fixed", omega=1.25, top_k=backend.vocab.size + 1), LIMITS)
     assert counting.calls == 0
     assert calls["parse_markup"] == 0  # no task started
 

@@ -1,5 +1,6 @@
 import json
 import socket
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,9 +15,8 @@ from anchored_decoding import (
     anchored_decode,
     parse_markup,
     resolve_anchors,
-    serve,
 )
-from anchored_decoding.errors import CapacityError, TransportError
+from anchored_decoding.errors import CapacityError, DecodeError, TransportError
 from anchored_decoding.wire import handle_request
 
 from conftest import make_backend
@@ -29,7 +29,7 @@ def server_backend():
 
 @pytest.fixture(scope="module")
 def server(server_backend):
-    srv = serve(server_backend)
+    srv = LogitServer(server_backend)
     yield srv
     srv.stop()
 
@@ -50,12 +50,49 @@ def raw_roundtrip(server, payload: str) -> dict:
         return json.loads(f.readline())
 
 
-def test_meta(remote, server_backend):
+class StubServer:
+    """One-connection server that answers meta with ``meta`` and every other
+    request with ``reply``, however malformed."""
+
+    def __init__(self, meta: dict, reply: dict | None = None):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(5)
+        self.address = self._listener.getsockname()
+        self._thread = threading.Thread(target=self._serve, args=(meta, reply), daemon=True)
+        self._thread.start()
+
+    def _serve(self, meta, reply):
+        conn, _ = self._listener.accept()
+        with conn, conn.makefile("rwb") as f:
+            for line in f:
+                resp = meta if json.loads(line)["op"] == "meta" else reply
+                f.write((json.dumps(resp) + "\n").encode())
+                f.flush()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._thread.join(timeout=5)
+        self._listener.close()
+        assert not self._thread.is_alive(), "stub server still waiting for its client"
+
+
+def test_meta(remote, server, server_backend):
     assert remote.vocab.size == server_backend.vocab.size
     assert remote.vocab.mask_id == server_backend.vocab.mask_id
     assert remote.vocab.stop_ids == server_backend.vocab.stop_ids
     assert remote.max_positions == server_backend.max_positions
     assert remote.vocab.token_strings == server_backend.vocab.token_strings
+    # the same envelope as every other reply
+    meta = raw_roundtrip(server, json.dumps({"v": 1, "op": "meta"}))
+    assert list(meta)[:2] == ["v", "ok"] and meta["v"] == 1 and meta["ok"] is True
+    # a meta error reaches the client with the server's code and message
+    error = {"v": 1, "ok": False, "code": "overloaded", "message": "try later"}
+    with StubServer(error) as stub, pytest.raises(TransportError) as info:
+        RemoteBackend(*stub.address, timeout=5)
+    assert "overloaded" in str(info.value) and "try later" in str(info.value)
+    assert info.value.raw == error
 
 
 def test_meta_without_surface_strings_gives_opaque_vocab():
@@ -123,6 +160,11 @@ def test_malformed_json_keeps_connection_open(server):
         f.flush()
         resp = json.loads(f.readline())
         assert resp["code"] == "bad_request"
+        # neither a token id past int64 nor a line that is not UTF-8 drops it
+        for line in (json.dumps({"v": 1, "op": "score", "tokens": [10**30]}).encode(), b"\xff\xfe"):
+            f.write(line + b"\n")
+            f.flush()
+            assert json.loads(f.readline())["code"] == "bad_request"
         # same connection still serves valid requests
         f.write((json.dumps({"v": 1, "op": "meta"}) + "\n").encode())
         f.flush()
@@ -172,6 +214,39 @@ def test_remote_decode_matches_local(server, server_backend):
         for remote_prompt in (prompt, resolved):
             over_wire = anchored_decode(rb, remote_prompt, config, limits)
             assert over_wire.generated_tokens == local.generated_tokens
+
+
+def test_server_serves_once_constructed(server_backend):
+    server = LogitServer(server_backend)
+    try:
+        with RemoteBackend(*server.address, timeout=2) as rb:
+            assert np.array_equal(rb.score([3, 5]).logits, server_backend.score([3, 5]).logits)
+    finally:
+        with server:
+            server.stop()  # leaving the block then stops it again
+    with pytest.raises(OSError):
+        socket.create_connection(server.address, timeout=1).close()
+
+
+MALFORMED_SCORE_REPLIES = {  # each made from a good full-vector reply
+    "3 of V ids": lambda good: dict(good, logits=good["logits"][:3]),
+    "id out of range": lambda good: dict(good, logits=good["logits"][:-1] + [["99", "0.5"]]),
+    "duplicate id": lambda good: dict(good, logits=good["logits"][:-1] + [["0", "0.5"]]),
+    "no version": lambda good: {k: v for k, v in good.items() if k != "v"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCORE_REPLIES))
+def test_malformed_score_reply_is_transport_error(server_backend, case):
+    meta = handle_request(server_backend, json.dumps({"v": 1, "op": "meta"}))
+    good = handle_request(server_backend, json.dumps({"v": 1, "op": "score", "tokens": [3, 4]}))
+    with StubServer(meta, MALFORMED_SCORE_REPLIES[case](good)) as stub, RemoteBackend(*stub.address) as rb:
+        with pytest.raises(TransportError):
+            rb.score([3, 4])
+        with pytest.raises(TransportError):  # a top-k reply is held to k ids
+            rb.score([3, 4], top_k=4)
+        with pytest.raises(DecodeError):
+            anchored_decode(rb, parse_markup("ab⟦cd⟧"), AnchoringConfig(mode="fixed", omega=1.25), DecodeLimits(4))
 
 
 def test_connect_failure_raises_transport_error():
