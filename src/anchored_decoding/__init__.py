@@ -24,7 +24,7 @@ from .decoding import (
     measure_overhead,
 )
 from .toy_model import CountingBackend, ScoreResult, ToyBackend, ToyModelConfig
-from .tuning import TuneReport, TuneSpec, grid_search, kfold_split, preset_strength
+from .tuning import TuneReport, TuneSpec, grid_search, kfold_split
 from .vocab import VocabSpec
 from .wire import LogitServer, RemoteBackend
 
@@ -58,6 +58,5 @@ __all__ = [
     "kfold_split",
     "measure_overhead",
     "parse_markup",
-    "preset_strength",
     "resolve_anchors",
 ]

@@ -23,7 +23,7 @@ from .decoding import DecodeLimits, anchored_decode, export_trace, greedy_decode
 from .errors import AnchorError
 from .harness import evaluate, load_corpus
 from .toy_model import ToyBackend, ToyModelConfig
-from .tuning import TuneSpec, default_grid, grid_search, preset_strength
+from .tuning import TuneSpec, default_grid, grid_search
 from .vocab import VocabSpec
 from .wire import LogitServer, RemoteBackend
 
@@ -47,16 +47,14 @@ def _build_backend(selector: str, seed_override: int | None):
             if key not in opts or not val.removeprefix("-").isdecimal():
                 raise UsageError(f"bad toy backend option {part!r} (integer options: {', '.join(opts)})")
             opts[key] = int(val)
-        return ToyBackend(
-            ToyModelConfig(
-                seed=seed_override if seed_override is not None else opts["seed"],
-                vocab=VocabSpec.toy(opts["vocab"]),
-                embed_dim=opts["dim"],
-                n_layers=opts["layers"],
-                n_heads=opts["heads"],
-                max_positions=opts["max_positions"],
-            )
-        )
+        seed = seed_override if seed_override is not None else opts["seed"]
+        try:
+            return ToyBackend(ToyModelConfig(
+                seed=seed, vocab=VocabSpec.toy(opts["vocab"]), embed_dim=opts["dim"], n_layers=opts["layers"],
+                n_heads=opts["heads"], max_positions=opts["max_positions"],
+            ))
+        except ValueError as exc:  # an option value the model or vocabulary rejects
+            raise UsageError(f"bad toy backend {selector!r}: {exc}") from exc
     if kind == "remote":
         host, _, port = rest.partition(":")
         if not host or not port.isdecimal():
@@ -67,18 +65,13 @@ def _build_backend(selector: str, seed_override: int | None):
 
 def _anchoring_config(args) -> AnchoringConfig:
     mode = args.mode
-    if mode == "confidence" and args.omega is not None:
+    given = {name: getattr(args, name, None) for name in ("omega", "lam", "activation")}
+    if mode == "confidence" and given["omega"] is not None:
         raise UsageError("--omega conflicts with --mode confidence (use --lambda)")
-    if mode in ("off", "fixed") and getattr(args, "lam", None) is not None:
+    if mode in ("off", "fixed") and given["lam"] is not None:
         raise UsageError(f"--lambda conflicts with --mode {mode}")
-    try:
-        return AnchoringConfig(
-            mode=mode,
-            omega=args.omega if args.omega is not None else preset_strength(),
-            lam=args.lam if getattr(args, "lam", None) is not None else 1.0,
-            top_k=args.top_k,
-            activation=getattr(args, "activation", "on_test_failure"),
-        )
+    try:  # only the flags given are passed, so AnchoringConfig holds every default
+        return AnchoringConfig(mode=mode, top_k=args.top_k, **{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:  # a config the flags describe is a usage error
         raise UsageError(str(exc)) from exc
 
@@ -127,7 +120,7 @@ def build_parser() -> _Parser:
     e = sub.add_parser("eval", help="evaluate a corpus")
     _add_backend_flags(e)
     _add_anchoring_flags(e)
-    e.add_argument("--activation", choices=["always", "on_test_failure"], default="on_test_failure")
+    e.add_argument("--activation", choices=["always", "on_test_failure"], default=None)
     e.add_argument("--corpus", required=True)
     e.add_argument("--beam", type=int, default=None, help="beam width for Pass@k")
     e.add_argument("--max-new", type=int, default=32)

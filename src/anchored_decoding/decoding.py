@@ -118,10 +118,11 @@ def _score_step(backend, context, resolution, config, want_attention: bool = Fal
 
 
 def _candidates(original: np.ndarray, augmented, config, n: int) -> np.ndarray:
-    """The candidate rule of every decoder: the n best ids of the augmented
-    logits (of the original ones without a config), best first, ties to the
-    lowest id. With config.top_k only the original top-k ids are eligible,
-    so fewer than n may come back."""
+    """The candidate rule of every decoder, on the full vectors every backend
+    returns: the n best ids of the augmented logits (of the original ones
+    without a config), best first, ties to the lowest id. config.top_k is
+    applied here only: just the original top-k ids are eligible, so fewer
+    than n may come back."""
     if config is None or config.top_k is None:
         return top_k_pairs(original if augmented is None else augmented, n)[0]
     ids = np.sort(top_k_pairs(original, config.top_k)[0])

@@ -37,12 +37,10 @@ class ToyModelConfig:
 
 @dataclass(frozen=True)
 class ScoreResult:
-    """Next-token scores for one context.
-
-    ``ids`` is None for a full-vocabulary vector; otherwise it pairs with
-    ``logits`` as a top-k truncation (largest logits, original indices).
-    ``attention`` is the last layer's final-position row, mean over heads.
-    """
+    """Next-token scores for one context: ``logits`` is the full vocabulary
+    vector, ``attention`` the last layer's final-position row, mean over heads.
+    ``ids`` is always None; it stays for wrappers that still pass it on (the
+    perfbench self-test). Truncation is ``top_k_pairs``, where it is used."""
 
     logits: np.ndarray
     ids: np.ndarray | None = None
@@ -147,13 +145,7 @@ class ToyBackend:
 
     # -- public API ---------------------------------------------------------
 
-    def score(
-        self,
-        context_tokens,
-        mask_positions=frozenset(),
-        want_attention: bool = False,
-        top_k: int | None = None,
-    ) -> ScoreResult:
+    def score(self, context_tokens, mask_positions=frozenset(), want_attention: bool = False) -> ScoreResult:
         tokens = self._tokens(context_tokens)
         for m in mask_positions:
             if not (0 <= m < len(tokens)):
@@ -162,11 +154,7 @@ class ToyBackend:
             tokens = tokens.copy()
             tokens[list(mask_positions)] = self.vocab.mask_id
         logits, att_row = self._forward(self._embed(tokens))
-        attention = att_row if want_attention else None
-        if top_k is not None:
-            ids, vals = top_k_pairs(logits, top_k)
-            return ScoreResult(logits=vals, ids=ids, attention=attention)
-        return ScoreResult(logits=logits, attention=attention)
+        return ScoreResult(logits=logits, attention=att_row if want_attention else None)
 
     def forward_from_embeddings(self, embedded: np.ndarray) -> np.ndarray:
         """Logits from a caller-supplied embedded input (positional encodings
@@ -190,8 +178,8 @@ class CountingBackend:
         self.calls = 0
         self.masked_calls = 0
 
-    def score(self, context_tokens, mask_positions=frozenset(), **kw) -> ScoreResult:
+    def score(self, context_tokens, mask_positions=frozenset(), want_attention=False) -> ScoreResult:
         self.calls += 1
         if mask_positions:
             self.masked_calls += 1
-        return self.inner.score(context_tokens, mask_positions, **kw)
+        return self.inner.score(context_tokens, mask_positions, want_attention=want_attention)

@@ -9,8 +9,6 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-PRESET_STRENGTH = 1.25
-
 
 def default_grid() -> list[float]:
     """1.00 to 2.00 in 0.05 steps."""
@@ -66,11 +64,6 @@ class TuneReport:
                 "seed": self.seed,
             }
         )
-
-
-def preset_strength() -> float:
-    """Fallback strength when no tuning data exists."""
-    return PRESET_STRENGTH
 
 
 def kfold_split(task_ids, folds: int, seed: int) -> list[list]:

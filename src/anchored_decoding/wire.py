@@ -9,6 +9,7 @@ bit-identical to local scoring.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import socketserver
@@ -17,13 +18,15 @@ import threading
 import numpy as np
 
 from .errors import CapacityError, TransportError
-from .toy_model import ScoreResult
+from .toy_model import ScoreResult, top_k_pairs
 from .vocab import VocabSpec
 
 PROTOCOL_VERSION = 1
 
 # the fields each op accepts
 _FIELDS = {"meta": {"v", "op"}, "score": {"v", "op", "tokens", "mask_positions", "want_attention", "top_k"}}
+# the error codes a client raises as the local backend would; any other is a TransportError
+_CLIENT_ERRORS = {"bad_request": ValueError, "bad_mask_index": ValueError, "context_too_long": CapacityError}
 
 
 def _fmt(x: float) -> str:
@@ -82,27 +85,50 @@ def handle_request(backend, line: str) -> dict:
     if top_k is not None and (not isinstance(top_k, int) or top_k < 1):
         return _error("bad_request", "top_k must be a positive int or null")
     try:
-        res = backend.score(tokens, frozenset(masks), want_attention=want_attention, top_k=top_k)
+        res = backend.score(tokens, frozenset(masks), want_attention=want_attention)
+        ids = range(len(res.logits)) if top_k is None else top_k_pairs(res.logits, top_k)[0].tolist()
     except CapacityError as exc:
         return _error("context_too_long", str(exc))
     except ValueError as exc:
         return _error("bad_request", str(exc))
-    ids = res.ids if res.ids is not None else np.arange(len(res.logits))
     return _reply(
-        logits=[[str(int(i)), _fmt(v)] for i, v in zip(ids, res.logits)],
+        logits=[[str(i), _fmt(res.logits[i])] for i in ids],
         attention=None if res.attention is None else [_fmt(a) for a in res.attention],
     )
 
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            response = handle_request(self.server.backend, line)
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
+        with contextlib.suppress(ConnectionError):  # the client reset, or stop() ended the connection
+            for raw in self.rfile:
+                line = raw.decode("utf-8", errors="replace").strip()
+                if not line:
+                    continue
+                response = handle_request(self.server.backend, line)
+                self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+                self.wfile.flush()
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    """One handler thread per connection; ``connections`` holds the open ones."""
+
+    daemon_threads = True
+
+    def __init__(self, address, backend):
+        super().__init__(address, _Handler)
+        self.backend = backend
+        self.lock = threading.Lock()
+        self.connections = set()
+
+    def process_request(self, request, client_address):
+        with self.lock:
+            self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self.lock:
+            self.connections.discard(request)
+        super().shutdown_request(request)
 
 
 class LogitServer:
@@ -112,9 +138,7 @@ class LogitServer:
     ``with`` block."""
 
     def __init__(self, backend, host: str = "127.0.0.1", port: int = 0):
-        self._server = socketserver.ThreadingTCPServer((host, port), _Handler, bind_and_activate=True)
-        self._server.daemon_threads = True
-        self._server.backend = backend
+        self._server = _Server((host, port), backend)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
 
@@ -127,8 +151,16 @@ class LogitServer:
         self._thread.join()
 
     def stop(self):
+        """Stop accepting, then end the open connections: a client's next
+        request raises TransportError."""
+        # shutdown() waits for serve_forever, the one thread that registers
+        # connections, so the sweep below misses none
         self._server.shutdown()
         self._server.server_close()
+        with self._server.lock:
+            for sock in self._server.connections:
+                with contextlib.suppress(OSError):  # the client may be gone already
+                    sock.shutdown(socket.SHUT_RDWR)  # its handler's read then ends
 
     def __enter__(self):
         return self
@@ -188,20 +220,17 @@ class RemoteBackend:
         if resp["ok"]:
             return resp
         code, message = resp.get("code"), resp.get("message")
-        if code == "bad_mask_index":
-            raise ValueError(message)
-        if code == "context_too_long":
-            raise CapacityError(message)
+        if code in _CLIENT_ERRORS:
+            raise _CLIENT_ERRORS[code](message)
         raise TransportError(f"server error {code}: {message}", raw=resp)
 
-    def score(self, context_tokens, mask_positions=frozenset(), want_attention=False, top_k=None) -> ScoreResult:
+    def score(self, context_tokens, mask_positions=frozenset(), want_attention=False) -> ScoreResult:
         req = {
             "v": PROTOCOL_VERSION,
             "op": "score",
             "tokens": [int(t) for t in context_tokens],
             "mask_positions": sorted(int(m) for m in mask_positions),
             "want_attention": bool(want_attention),
-            "top_k": top_k,
         }
         resp = self._request(req)
         try:
@@ -211,14 +240,10 @@ class RemoteBackend:
             att = None if attention is None else np.array([float(a) for a in attention])
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError("malformed score response", raw=resp) from exc
-        # n distinct ids in range: a full reply then orders into the whole vector
         size = self.vocab.size
-        n = size if top_k is None else top_k
-        if len(ids) != n or len(set(ids)) != n or not all(0 <= i < size for i in ids):
-            raise TransportError(f"score response must carry {n} distinct ids in 0..{size - 1}", raw=resp)
-        if top_k is None:
-            return ScoreResult(logits=values[np.argsort(ids)], attention=att)
-        return ScoreResult(logits=values, ids=np.array(ids, dtype=np.int64), attention=att)
+        if sorted(ids) != list(range(size)):  # each id in 0..V-1 exactly once
+            raise TransportError(f"score response must carry {size} distinct ids in 0..{size - 1}", raw=resp)
+        return ScoreResult(logits=values[np.argsort(ids)], attention=att)
 
     def close(self):
         try:

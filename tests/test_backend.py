@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from anchored_decoding import ToyBackend, ToyModelConfig, VocabSpec
 from anchored_decoding.errors import CapacityError
 from anchored_decoding.toy_model import top_k_pairs
+from anchored_decoding.wire import handle_request
 
 from conftest import make_backend
 
@@ -95,17 +98,18 @@ def test_attention_row_is_probability_vector(backend, rng):
         assert abs(row.sum() - 1.0) < 1e-6
 
 
-def test_top_k_truncation(backend, rng):
+def test_top_k_truncation(backend):
+    # a backend returns the full vector; a v1 score reply with top_k carries
+    # top_k_pairs of it: the ids best first, the values as 17-digit decimals
     full = backend.score([3, 5, 2]).logits
-    for k in (1, 4, backend.vocab.size):
-        res = backend.score([3, 5, 2], top_k=k)
-        assert len(res.ids) == k
-        # exactly the k largest, original indices, values matching the full vector
-        expected_ids = np.lexsort((np.arange(len(full)), -full))[:k]
-        assert np.array_equal(res.ids, expected_ids)
-        assert np.array_equal(res.logits, full[res.ids])
-    res = backend.score([3, 5, 2], top_k=backend.vocab.size)
-    assert np.array_equal(res.logits[np.argsort(res.ids)], full)
+    size = backend.vocab.size
+    for k in range(1, size + 1):
+        reply = handle_request(backend, json.dumps({"v": 1, "op": "score", "tokens": [3, 5, 2], "top_k": k}))
+        ids, vals = top_k_pairs(full, k)
+        assert reply["ok"] is True
+        assert reply["logits"] == [[str(i), format(v, ".17g")] for i, v in zip(ids.tolist(), vals.tolist())]
+    reply = handle_request(backend, json.dumps({"v": 1, "op": "score", "tokens": [3, 5, 2], "top_k": size + 1}))
+    assert reply["ok"] is False and reply["code"] == "bad_request"
 
 
 def test_top_k_pairs_tie_breaks_to_lower_id():

@@ -26,6 +26,19 @@ def test_version(capsys):
     assert __version__ in capsys.readouterr().out
 
 
+def test_generate_default_omega_is_the_config_default(capsys):
+    # without --omega the CLI passes none, so AnchoringConfig's default (1.25)
+    # applies; on this prompt omega 1 and 1.5 decode other tokens
+    tokens = {}
+    for omega in (None, "1", "1.25", "1.5"):
+        flags = () if omega is None else ("--omega", omega)
+        code, out, _ = run_cli(capsys, "generate", "--backend", BACKEND, "--prompt", "ehh⟦mjl⟧", "--json", *flags)
+        assert code == 0
+        tokens[omega] = json.loads(out)["tokens"]
+    assert tokens[None] == tokens["1.25"]
+    assert tokens["1.25"] not in (tokens["1"], tokens["1.5"])
+
+
 def test_generate_omega_one_matches_plain(capsys):
     code, anchored_out, _ = run_cli(
         capsys, "generate", "--backend", BACKEND, "--prompt", "ab⟦cd⟧", "--omega", "1", "--json"
@@ -92,8 +105,16 @@ def test_invalid_config_is_usage_error(capsys, tmp_path, flags):
 def test_unknown_backend_usage_error(capsys):
     code, _, err = run_cli(capsys, "generate", "--backend", "gpu:0", "--prompt", "⟦a⟧")
     assert code == 1
-    # an unknown toy option, a non-integer value, a non-integer port
-    for selector, named in (("toy:sed=3:vocab=16", "sed=3"), ("toy:seed=x", "seed=x"), ("remote:127.0.0.1:x", "remote")):
+    # an unknown toy option, a non-integer value, a non-integer port, and
+    # integer values the model config or the toy vocabulary rejects
+    cases = (
+        ("toy:sed=3:vocab=16", "sed=3"),
+        ("toy:seed=x", "seed=x"),
+        ("remote:127.0.0.1:x", "remote"),
+        ("toy:layers=9", "layers=9"),
+        ("toy:vocab=2", "vocab=2"),
+    )
+    for selector, named in cases:
         code, out, err = run_cli(capsys, "generate", "--backend", selector, "--prompt", "⟦a⟧")
         assert code == 1 and out == "" and named in err, (selector, err)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from anchored_decoding import TuneSpec, grid_search, kfold_split, preset_strength
+from anchored_decoding import TuneSpec, grid_search, kfold_split
 from anchored_decoding.tuning import default_grid
 
 
@@ -138,7 +138,3 @@ def test_spec_validation():
         TuneSpec(grid=(1.1, 1.2))  # missing 1.0
     with pytest.raises(ValueError):
         TuneSpec(folds=1)
-
-
-def test_preset_strength():
-    assert preset_strength() == 1.25

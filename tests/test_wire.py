@@ -1,6 +1,8 @@
 import json
 import socket
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,9 +10,11 @@ import pytest
 
 from anchored_decoding import (
     AnchoringConfig,
+    CountingBackend,
     DecodeLimits,
     LogitServer,
     RemoteBackend,
+    ScoreResult,
     VocabSpec,
     anchored_decode,
     parse_markup,
@@ -131,11 +135,16 @@ def test_masked_and_attention_roundtrip(remote, server_backend):
     assert np.array_equal(local.attention, got.attention)
 
 
-def test_top_k_roundtrip(remote, server_backend):
-    local = server_backend.score([3, 5, 2], top_k=4)
-    got = remote.score([3, 5, 2], top_k=4)
-    assert np.array_equal(local.ids, got.ids)
-    assert np.array_equal(local.logits, got.logits)
+def test_every_backend_has_one_score_interface(remote, server_backend):
+    # score(context, mask_positions, want_attention) returns the full vector
+    # with ids None on every backend; none takes top_k any more
+    for backend in (server_backend, CountingBackend(server_backend), remote):
+        res = backend.score([3, 5, 2], frozenset({0}), want_attention=True)
+        assert res.ids is None and len(res.logits) == server_backend.vocab.size
+        with pytest.raises(TypeError):
+            backend.score([3, 5, 2], top_k=4)
+    # perfbench/selftest.py still builds ScoreResult(..., ids=result.ids, ...)
+    assert ScoreResult(logits=res.logits, ids=None, attention=None).ids is None
 
 
 def test_bad_mask_index(server):
@@ -179,6 +188,16 @@ def test_unknown_op_and_version(server):
 def test_context_too_long_over_wire(remote, server_backend):
     with pytest.raises(CapacityError):
         remote.score([2] * (server_backend.max_positions + 1))
+
+
+@pytest.mark.parametrize("tokens", [[99], [], [-1], [3, 10**30]])
+def test_bad_tokens_raise_value_error_as_locally(remote, server_backend, tokens):
+    with pytest.raises(ValueError):
+        server_backend.score(tokens)
+    with pytest.raises(ValueError):
+        remote.score(tokens)
+    # the connection still serves
+    assert np.array_equal(remote.score([3, 4]).logits, server_backend.score([3, 4]).logits)
 
 
 def test_sequential_requests_no_state_leakage(remote, server_backend, rng):
@@ -228,6 +247,45 @@ def test_server_serves_once_constructed(server_backend):
         socket.create_connection(server.address, timeout=1).close()
 
 
+def test_stop_ends_open_connections(server_backend):
+    server = LogitServer(server_backend)
+    with RemoteBackend(*server.address, timeout=2) as rb:
+        assert np.array_equal(rb.score([3, 4]).logits, server_backend.score([3, 4]).logits)
+        # a second client connects just before stop() and never sends
+        with socket.create_connection(server.address, timeout=2) as idle:
+            server.stop()
+            started = time.monotonic()
+            with pytest.raises(TransportError, match="closed|transport failure"):
+                rb.score([3, 4])
+            try:
+                assert idle.recv(1) == b""
+            except ConnectionResetError:
+                pass
+            assert time.monotonic() - started < 1.5  # ended, not timed out
+
+
+def test_server_forgets_closed_connections(server_backend):
+    # 4 threads open and close 10 connections each; every closed one leaves
+    # the server's set of open connections, so the set does not grow
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with LogitServer(server_backend) as server, ThreadPoolExecutor(max_workers=4) as pool:
+
+            def connect_10(_):
+                for _ in range(10):
+                    with RemoteBackend(*server.address, timeout=5) as rb:
+                        rb.score([3, 4])
+
+            list(pool.map(connect_10, range(4)))
+            deadline = time.monotonic() + 5
+            while server._server.connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._server.connections
+    finally:
+        sys.setswitchinterval(interval)
+
+
 MALFORMED_SCORE_REPLIES = {  # each made from a good full-vector reply
     "3 of V ids": lambda good: dict(good, logits=good["logits"][:3]),
     "id out of range": lambda good: dict(good, logits=good["logits"][:-1] + [["99", "0.5"]]),
@@ -243,8 +301,6 @@ def test_malformed_score_reply_is_transport_error(server_backend, case):
     with StubServer(meta, MALFORMED_SCORE_REPLIES[case](good)) as stub, RemoteBackend(*stub.address) as rb:
         with pytest.raises(TransportError):
             rb.score([3, 4])
-        with pytest.raises(TransportError):  # a top-k reply is held to k ids
-            rb.score([3, 4], top_k=4)
         with pytest.raises(DecodeError):
             anchored_decode(rb, parse_markup("ab⟦cd⟧"), AnchoringConfig(mode="fixed", omega=1.25), DecodeLimits(4))
 
