@@ -6,11 +6,14 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .decoding import GenerationTrace
 from .errors import UnsupportedOperationError
+
+if TYPE_CHECKING:
+    from .decoding import GenerationTrace
 
 ROW_SUM_TOL = 1e-6
 
@@ -69,8 +72,10 @@ def gradient_attention(backend, context_tokens, delta: float = 1e-3) -> np.ndarr
     dimensions) of the numerical gradient of the next-step argmax token's
     logit with respect to that position's input embedding. Requires a backend
     exposing embed()/forward_from_embeddings() (the toy model or a test
-    double); remote backends cannot support it.
+    double); remote backends cannot support it. delta must be finite and > 0.
     """
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     if not (hasattr(backend, "embed") and hasattr(backend, "forward_from_embeddings")):
         raise UnsupportedOperationError("gradient probes need embedding access (toy backend only)")
     base = backend.embed(context_tokens)

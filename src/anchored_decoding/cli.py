@@ -286,7 +286,7 @@ def _cmd_analyze(args, backend) -> int:
         fp = _out_stream(args.out)
         try:
             fp.write("position,score\n")
-            for i, s in enumerate(scores):
+            for i, s in enumerate(scores.tolist()):
                 fp.write(f"{i},{s!r}\n")
         finally:
             if args.out:

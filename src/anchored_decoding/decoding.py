@@ -20,14 +20,10 @@ from .anchoring import (
     resolve_anchors,
     softmax,
 )
+from .attention_analysis import attention_ratio
 from .errors import DecodeError, TransportError
 from .toy_model import CountingBackend, top_k_pairs
 from .wire import _fmt
-
-# Full-vector trace storage is capped; past this vocab size traces keep
-# top-k pairs per side instead (default k=100).
-FULL_STORAGE_VOCAB_LIMIT = 512
-DEFAULT_STORAGE_TOP_K = 100
 
 Pairs = list[tuple[int, float]]
 
@@ -43,8 +39,9 @@ class DecodeLimits:
 
 @dataclass
 class StepScore:
-    """One decoding step's score vectors. Each vector is either a full
-    float64 array or, when truncated, a list of (id, logit) pairs."""
+    """One step's score vectors, all three at the ids the candidate rule ranked:
+    full float64 arrays, or with config.top_k (id, logit) pairs at the original
+    top-k ids in top-k order. So augmented = combine(original, masked) holds."""
 
     original: np.ndarray | Pairs
     masked: np.ndarray | Pairs | None = None
@@ -74,11 +71,13 @@ class BeamCandidate:
 
 def _resolve_prompt(backend, prompt) -> tuple[list[int], AnchorResolution]:
     """Accept a PromptSpec (tokenized against the backend's vocabulary) or a
-    pre-resolved (prompt_tokens, AnchorResolution) pair, the form a backend
-    whose vocabulary has no surface strings requires."""
+    pre-resolved (prompt_tokens, AnchorResolution) pair whose prompt_length is
+    len(prompt_tokens), the form a backend without surface strings requires."""
     if isinstance(prompt, PromptSpec):
         return resolve_anchors(prompt, backend.vocab)
     prompt_tokens, resolution = prompt
+    if resolution.prompt_length != len(prompt_tokens):
+        raise ValueError(f"prompt_length {resolution.prompt_length} != {len(prompt_tokens)} prompt tokens")
     return list(prompt_tokens), resolution
 
 
@@ -90,13 +89,6 @@ def _prepare(backend, prompt, config: AnchoringConfig):
     prompt_tokens, resolution = _resolve_prompt(backend, prompt)
     applies = config.mode != "off" and resolution.token_positions
     return prompt_tokens, resolution, config if applies else None
-
-
-def _pairs(vec: np.ndarray, k: int | None) -> np.ndarray | Pairs:
-    if k is None or k >= len(vec):
-        return vec
-    ids, vals = top_k_pairs(vec, k)
-    return list(zip(ids.tolist(), vals.tolist()))
 
 
 def _score_step(backend, context, resolution, config, want_attention: bool = False):
@@ -130,12 +122,9 @@ def _candidates(original: np.ndarray, augmented, config, n: int) -> np.ndarray:
 
 
 def _decode(backend, prompt_tokens, resolution, config, limits, want_attention) -> GenerationTrace:
-    """Token loop of greedy_decode (config None) and anchored_decode. With
-    config.top_k the trace keeps the three vectors at the original top-k ids
-    in top-k order. A DecodeError from the scoring step carries the steps
-    completed so far."""
-    top_k = config.top_k if config is not None else None
-    store_k = DEFAULT_STORAGE_TOP_K if backend.vocab.size > FULL_STORAGE_VOCAB_LIMIT else None
+    """Token loop of greedy_decode (config None) and anchored_decode; each step
+    is stored as StepScore says. A DecodeError from the scoring step carries
+    the steps completed so far."""
     context = list(prompt_tokens)
     trace = GenerationTrace(list(prompt_tokens), resolution, [], "length_limit", [])
     for _ in range(limits.max_new_tokens):
@@ -149,12 +138,10 @@ def _decode(backend, prompt_tokens, resolution, config, limits, want_attention) 
             exc.partial_trace = trace
             raise
         token = int(_candidates(orig.logits, aug, config, 1)[0])
-        vectors = (orig.logits, masked, aug)
-        if top_k is None:
-            stored = [None if v is None else _pairs(v, store_k) for v in vectors]
-        else:
-            ids, _ = top_k_pairs(orig.logits, top_k)
-            stored = [list(zip(ids.tolist(), v[ids].tolist())) for v in vectors]
+        stored = (orig.logits, masked, aug)
+        if config is not None and config.top_k is not None:
+            ids, _ = top_k_pairs(orig.logits, config.top_k)
+            stored = [list(zip(ids.tolist(), v[ids].tolist())) for v in stored]
         trace.wall_times.append(time.perf_counter() - t0)
         trace.steps.append((token, StepScore(*stored, attention_row=orig.attention)))
         context.append(token)
@@ -292,14 +279,13 @@ def _vec_json(vec: np.ndarray | Pairs | None):
 
 
 def export_trace(trace: GenerationTrace, fp) -> None:
-    """One JSON line per step; vectors are 17-significant-digit decimal
-    strings ((id, decimal) pairs when truncated). alpha is the step's
-    attention-to-prompt ratio when attention was captured."""
-    prompt_len = trace.resolution.prompt_length if trace.resolution else len(trace.prompt_tokens)
+    """One JSON line per step; vectors are 17-significant-digit decimal strings
+    ((id, decimal) pairs when truncated). alpha, when attention was captured,
+    is the step's attention_ratio over the prompt tokens, as in dilution_curve."""
     for i, (token, score) in enumerate(trace.steps):
         alpha = None
         if score.attention_row is not None:
-            alpha = _fmt(float(np.sum(score.attention_row[:prompt_len])))
+            alpha = _fmt(attention_ratio(score.attention_row, len(trace.prompt_tokens)))
         fp.write(
             json.dumps(
                 {

@@ -22,6 +22,9 @@ from .toy_model import ScoreResult, top_k_pairs
 from .vocab import VocabSpec
 
 PROTOCOL_VERSION = 1
+MAX_REQUEST_BYTES = 1 << 20  # longest request line, newline included; holds well over 100k token ids
+# how often serve_forever checks for stop(); at the 0.5 s default each stop() would wait that long
+_POLL_INTERVAL = 0.05
 
 # the fields each op accepts
 _FIELDS = {"meta": {"v", "op"}, "score": {"v", "op", "tokens", "mask_positions", "want_attention", "top_k"}}
@@ -100,13 +103,17 @@ def handle_request(backend, line: str) -> dict:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         with contextlib.suppress(ConnectionError):  # the client reset, or stop() ended the connection
-            for raw in self.rfile:
+            while raw := self.rfile.readline(MAX_REQUEST_BYTES + 1):
+                if len(raw) > MAX_REQUEST_BYTES:  # the rest of the line cannot be resynchronised: close
+                    self._send(_error("bad_request", f"request line longer than {MAX_REQUEST_BYTES} bytes"))
+                    return
                 line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                response = handle_request(self.server.backend, line)
-                self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-                self.wfile.flush()
+                if line:
+                    self._send(handle_request(self.server.backend, line))
+
+    def _send(self, response: dict):
+        self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+        self.wfile.flush()
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -139,7 +146,7 @@ class LogitServer:
 
     def __init__(self, backend, host: str = "127.0.0.1", port: int = 0):
         self._server = _Server((host, port), backend)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(_POLL_INTERVAL,), daemon=True)
         self._thread.start()
 
     @property

@@ -1,9 +1,10 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
-from anchored_decoding import AnchoringConfig, DecodeLimits, anchored_decode, parse_markup
+from anchored_decoding import AnchoringConfig, DecodeLimits, anchored_decode, export_trace, parse_markup
 from anchored_decoding.attention_analysis import (
     attention_ratio,
     dilution_curve,
@@ -14,7 +15,7 @@ from anchored_decoding.attention_analysis import (
 )
 from anchored_decoding.errors import UnsupportedOperationError
 
-from conftest import make_backend
+from conftest import make_backend, random_marked_prompt
 
 
 class LinearDouble:
@@ -94,6 +95,22 @@ def test_dilution_curve_compositional_oracle(backend):
     plen = len(trace.prompt_tokens)
     for alpha, (_, score) in zip(curve.alphas, trace.steps):
         assert abs(alpha - attention_ratio(score.attention_row, plen)) < 1e-9
+
+
+def test_export_alpha_equals_dilution_curve(rng):
+    # export_trace reads each step's alpha as dilution_curve does; at step 0
+    # the row is all prompt, which an unchecked prefix sum can round below 1
+    config = AnchoringConfig(mode="fixed", omega=1.25)
+    for seed in range(3):
+        for vocab_size in (16, 32, 52):
+            backend = make_backend(seed=seed, vocab_size=vocab_size)
+            for _ in range(3):
+                prompt = parse_markup(random_marked_prompt(rng, backend.vocab))
+                trace = anchored_decode(backend, prompt, config, DecodeLimits(4), want_attention=True)
+                buf = io.StringIO()
+                export_trace(trace, buf)
+                alphas = [float(json.loads(line)["alpha"]) for line in buf.getvalue().splitlines()]
+                assert alphas == dilution_curve(trace).alphas
 
 
 def test_dilution_curve_requires_attention(backend):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from anchored_decoding import LogitServer, RemoteBackend, __version__
-from anchored_decoding.cli import main
+from anchored_decoding.attention_analysis import gradient_attention
+from anchored_decoding.cli import _build_backend, main
 from anchored_decoding.harness import Task, write_corpus
 
 from conftest import make_backend
@@ -273,9 +274,22 @@ def test_analyze_gradients_csv(capsys, tmp_path):
     lines = out_path.read_text().strip().split("\n")
     assert lines[0] == "position,score"
     assert len(lines) == 5
+    # plain decimals, each the float gradient_attention computed
+    backend = _build_backend(BACKEND, None)
+    want = gradient_attention(backend, backend.vocab.tokenize("abcd")).tolist()
+    assert [line.split(",") for line in lines[1:]] == [[str(i), repr(w)] for i, w in enumerate(want)]
+    assert [float(line.split(",")[1]) for line in lines[1:]] == want
     code, _, err = run_cli(capsys, "analyze", "gradients", "--backend", BACKEND, "--prompt", "")
     assert code == 2
     assert "non-empty" in err
+    for delta in ("0", "-0.001", "nan", "inf"):
+        bad_path = tmp_path / f"bad{delta}.csv"
+        code, _, err = run_cli(
+            capsys, "analyze", "gradients", "--backend", BACKEND, "--prompt", "abcd", "--delta", delta,
+            "--out", str(bad_path),
+        )
+        assert code == 2 and "delta" in err
+        assert not bad_path.exists()
 
 
 def test_analyze_lengths_csv(capsys, tmp_path):

@@ -23,7 +23,6 @@ from anchored_decoding import (
     resolve_anchors,
 )
 from anchored_decoding.anchoring import softmax
-from anchored_decoding.decoding import DEFAULT_STORAGE_TOP_K, FULL_STORAGE_VOCAB_LIMIT
 from anchored_decoding.errors import DecodeError, TransportError
 from anchored_decoding.toy_model import top_k_pairs
 
@@ -107,16 +106,44 @@ def test_anchored_replay_oracle(backend):
         ctx.append(token)
 
 
-def test_trace_self_consistency(backend):
-    prompt = parse_markup("ab⟦cd⟧")
-    for config in (fixed(1.4), AnchoringConfig(mode="confidence", lam=0.7)):
-        trace = anchored_decode(backend, prompt, config, LIMITS)
+def _ids_and_values(vec):
+    """A stored vector as (ids, values); a full array is stored at every id."""
+    if isinstance(vec, np.ndarray):
+        return list(range(len(vec))), vec
+    ids, values = zip(*vec)
+    return list(ids), np.array(values)
+
+
+def test_trace_vectors_share_ids_and_recombine(backend, rng):
+    # each step stores original, masked and augmented at the ids the
+    # candidate rule ranked, so augmented is recomputed from the other two
+    # bit for bit, at any vocabulary size
+    cases = [
+        (backend, parse_markup(random_marked_prompt(rng, backend.vocab)), config)
+        for config in (None, fixed(1.4), fixed(1.4, top_k=4), AnchoringConfig(mode="confidence", lam=0.7))
+        for _ in range(3)
+    ]
+    cases.append((WideBackend(), ([2, 3, 4, 5], AnchorResolution(frozenset({1, 2}), 4)), fixed(1.25)))
+    for b, prompt, config in cases:
+        if config is None:
+            trace = greedy_decode(b, resolve_anchors(prompt, b.vocab)[0], LIMITS)
+        else:
+            trace = anchored_decode(b, prompt, config, LIMITS)
+        assert trace.steps
         for _, score in trace.steps:
+            ids, orig = _ids_and_values(score.original)
+            if config is None:
+                assert ids == list(range(b.vocab.size))
+                assert score.masked is None and score.augmented is None
+                continue
+            assert len(ids) == (config.top_k or b.vocab.size)
+            masked_ids, masked = _ids_and_values(score.masked)
+            aug_ids, aug = _ids_and_values(score.augmented)
+            assert masked_ids == aug_ids == ids
             if config.mode == "confidence":
-                want = combine_confidence(score.original, score.masked, config.lam)
+                assert np.array_equal(aug, combine_confidence(orig, masked, config.lam))
             else:
-                want = combine_fixed(score.original, score.masked, config.omega)
-            assert np.allclose(score.augmented, want, atol=1e-12)
+                assert np.array_equal(aug, combine_fixed(orig, masked, config.omega))
 
 
 def test_anchored_requires_anchors(backend):
@@ -379,27 +406,48 @@ class WideBackend:
         return ScoreResult(logits=rng.normal(size=self.vocab.size))
 
 
-def test_trace_storage_capped_past_vocab_limit():
+def test_wide_vocab_trace_stores_vectors_at_candidate_ids():
+    # no vocabulary size changes what a step stores: without top_k the full
+    # arrays, with top_k all three vectors at the original top-k ids
     backend = WideBackend()
-    assert backend.vocab.size > FULL_STORAGE_VOCAB_LIMIT
     anchors = frozenset({1, 2})
-    ctx = [2, 3, 4, 5]
-    trace = anchored_decode(backend, (ctx, AnchorResolution(anchors, 4)), fixed(1.25), LIMITS)
-    assert trace.steps
-    for token, score in trace.steps:
-        orig = backend.score(ctx).logits
-        masked = backend.score(ctx, mask_positions=anchors).logits
-        full = (orig, masked, combine_fixed(orig, masked, 1.25))
-        stored = (score.original, score.masked, score.augmented)
-        for vec, pairs in zip(full, stored):
-            # each vector keeps its own top-k, ties to the lower id
-            best = sorted(range(len(vec)), key=lambda i: (-vec[i], i))[:DEFAULT_STORAGE_TOP_K]
-            assert pairs == [(i, vec[i]) for i in best]
-        assert token == int(np.argmax(full[2]))
-        ctx.append(token)
-    buf = io.StringIO()
-    export_trace(trace, buf)
-    for line, (_, score) in zip(buf.getvalue().splitlines(), trace.steps):
-        obj = json.loads(line)
-        for key, pairs in (("orig", score.original), ("masked", score.masked), ("aug", score.augmented)):
-            assert [(i, float(v)) for i, v in obj[key]] == pairs
+    for top_k in (None, 100):
+        ctx = [2, 3, 4, 5]
+        trace = anchored_decode(backend, (ctx, AnchorResolution(anchors, 4)), fixed(1.25, top_k=top_k), LIMITS)
+        assert trace.steps
+        for token, score in trace.steps:
+            orig = backend.score(ctx).logits
+            masked = backend.score(ctx, mask_positions=anchors).logits
+            full = (orig, masked, combine_fixed(orig, masked, 1.25))
+            stored = (score.original, score.masked, score.augmented)
+            if top_k is None:
+                for vec, array in zip(full, stored):
+                    assert np.array_equal(array, vec)
+                assert token == int(np.argmax(full[2]))
+            else:
+                best = sorted(range(len(orig)), key=lambda i: (-orig[i], i))[:top_k]
+                for vec, pairs in zip(full, stored):
+                    assert pairs == [(i, vec[i]) for i in best]
+                assert token == min(best, key=lambda i: (-full[2][i], i))
+            ctx.append(token)
+        buf = io.StringIO()
+        export_trace(trace, buf)
+        for line, (_, score) in zip(buf.getvalue().splitlines(), trace.steps):
+            obj = json.loads(line)
+            for key, vec in (("orig", score.original), ("masked", score.masked), ("aug", score.augmented)):
+                if top_k is None:
+                    assert np.array_equal([float(v) for v in obj[key]], vec)
+                else:
+                    assert [(i, float(v)) for i, v in obj[key]] == vec
+
+
+def test_prompt_length_must_match_tokens(backend):
+    # a pre-resolved pair whose prompt_length is not len(tokens) is rejected
+    # before any score() call
+    prompt = ([2, 3, 4, 5], AnchorResolution(frozenset({1}), 2))
+    counting = CountingBackend(backend)
+    with pytest.raises(ValueError, match="prompt_length"):
+        anchored_decode(counting, prompt, fixed(1.25), LIMITS, want_attention=True)
+    with pytest.raises(ValueError, match="prompt_length"):
+        beam_search_anchored(counting, prompt, fixed(1.25), 2, LIMITS)
+    assert counting.calls == 0

@@ -20,6 +20,7 @@ from anchored_decoding import (
     parse_markup,
     resolve_anchors,
 )
+from anchored_decoding import wire
 from anchored_decoding.errors import CapacityError, DecodeError, TransportError
 from anchored_decoding.wire import handle_request
 
@@ -262,6 +263,37 @@ def test_stop_ends_open_connections(server_backend):
             except ConnectionResetError:
                 pass
             assert time.monotonic() - started < 1.5  # ended, not timed out
+
+
+def test_stop_returns_promptly(server_backend):
+    server = LogitServer(server_backend)
+    with RemoteBackend(*server.address, timeout=2) as rb:
+        rb.score([3, 4])
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.25
+        with pytest.raises(TransportError):
+            rb.score([3, 4])
+
+
+def test_request_line_cap(server, monkeypatch):
+    monkeypatch.setattr(wire, "MAX_REQUEST_BYTES", 64)
+    meta = json.dumps({"v": 1, "op": "meta"})
+    at_cap = meta[:-1] + " " * (63 - len(meta)) + "}"  # 64 bytes with its newline
+    with socket.create_connection(server.address, timeout=5) as sock:
+        f = sock.makefile("rwb")
+        f.write((at_cap + "\n").encode())
+        f.flush()
+        assert json.loads(f.readline())["ok"] is True
+        # one byte more: one bad_request naming the cap, then the server closes
+        f.write((at_cap.replace(" ", "  ", 1) + "\n" + meta + "\n").encode())
+        f.flush()
+        resp = json.loads(f.readline())
+        assert resp["code"] == "bad_request" and "64 bytes" in resp["message"]
+        try:
+            assert f.readline() == b""
+        except ConnectionResetError:
+            pass
 
 
 def test_server_forgets_closed_connections(server_backend):
