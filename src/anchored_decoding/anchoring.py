@@ -67,6 +67,11 @@ class AnchoringConfig:
         if self.mode == "confidence" and self.top_k is not None:
             raise ValueError("top_k truncation is only supported in fixed mode")
 
+    def applies_to(self, resolution: AnchorResolution) -> bool:
+        """Mode is not off and the prompt has anchored tokens. Where this is
+        false every decoder uses the original logits alone."""
+        return self.mode != "off" and bool(resolution.token_positions)
+
 
 @dataclass(frozen=True)
 class AnchorResolution:

@@ -7,11 +7,12 @@ scoring logic lives here.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from . import __version__
-from .anchoring import AnchoringConfig, parse_markup, resolve_anchors
+from .anchoring import AnchoringConfig, parse_markup
 from .attention_analysis import (
     dilution_curve,
     gradient_attention,
@@ -19,7 +20,7 @@ from .attention_analysis import (
     write_curve_csv,
     write_length_stats_csv,
 )
-from .decoding import DecodeLimits, anchored_decode, export_trace, greedy_decode
+from .decoding import DecodeLimits, anchored_decode, export_trace
 from .errors import AnchorError
 from .harness import evaluate, load_corpus
 from .toy_model import ToyBackend, ToyModelConfig
@@ -38,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_backend(selector: str, seed_override: int | None):
+def _build_backend(selector: str):
     kind, _, rest = selector.partition(":")
     if kind == "toy":
         opts = {"seed": 0, "vocab": 32, "dim": 32, "layers": 2, "heads": 4, "max_positions": 256}
@@ -47,10 +48,9 @@ def _build_backend(selector: str, seed_override: int | None):
             if key not in opts or not val.removeprefix("-").isdecimal():
                 raise UsageError(f"bad toy backend option {part!r} (integer options: {', '.join(opts)})")
             opts[key] = int(val)
-        seed = seed_override if seed_override is not None else opts["seed"]
         try:
             return ToyBackend(ToyModelConfig(
-                seed=seed, vocab=VocabSpec.toy(opts["vocab"]), embed_dim=opts["dim"], n_layers=opts["layers"],
+                seed=opts["seed"], vocab=VocabSpec.toy(opts["vocab"]), embed_dim=opts["dim"], n_layers=opts["layers"],
                 n_heads=opts["heads"], max_positions=opts["max_positions"],
             ))
         except ValueError as exc:  # an option value the model or vocabulary rejects
@@ -78,7 +78,6 @@ def _anchoring_config(args) -> AnchoringConfig:
 
 def _add_backend_flags(p):
     p.add_argument("--backend", default="toy:seed=0", help="toy:seed=..:vocab=..:dim=.. or remote:host:port")
-    p.add_argument("--seed", type=int, default=None, help="override the toy backend seed")
 
 
 def _add_anchoring_flags(p):
@@ -96,6 +95,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="decode one prompt")
+    g.set_defaults(run=_cmd_generate)
     _add_backend_flags(g)
     _add_anchoring_flags(g)
     g.add_argument("--prompt", required=True, help="prompt text with anchor markup")
@@ -105,6 +105,7 @@ def build_parser() -> _Parser:
     g.add_argument("--json", action="store_true")
 
     t = sub.add_parser("tune", help="grid-search the anchoring strength on a corpus")
+    t.set_defaults(run=_cmd_tune)
     _add_backend_flags(t)
     t.add_argument("--corpus", required=True)
     t.add_argument("--folds", type=int, default=5)
@@ -118,6 +119,7 @@ def build_parser() -> _Parser:
     t.add_argument("--json", action="store_true")
 
     e = sub.add_parser("eval", help="evaluate a corpus")
+    e.set_defaults(run=_cmd_eval)
     _add_backend_flags(e)
     _add_anchoring_flags(e)
     e.add_argument("--activation", choices=["always", "on_test_failure"], default=None)
@@ -134,6 +136,7 @@ def build_parser() -> _Parser:
     asub = a.add_subparsers(dest="analysis", required=True)
 
     ad = asub.add_parser("dilution", help="attention-to-prompt curve for a prompt")
+    ad.set_defaults(run=_cmd_dilution)
     _add_backend_flags(ad)
     _add_anchoring_flags(ad)
     ad.add_argument("--prompt", required=True)
@@ -141,17 +144,20 @@ def build_parser() -> _Parser:
     ad.add_argument("--out", help="CSV output path (default stdout)")
 
     ag = asub.add_parser("gradients", help="finite-difference token sensitivity")
+    ag.set_defaults(run=_cmd_gradients)
     _add_backend_flags(ag)
     ag.add_argument("--prompt", required=True, help="plain prompt text (no markup)")
     ag.add_argument("--delta", type=float, default=1e-3)
     ag.add_argument("--out", help="CSV output path (default stdout)")
 
     al = asub.add_parser("lengths", help="passed-vs-failed generation lengths")
+    al.set_defaults(run=_cmd_lengths)
     al.add_argument("--report", required=True, help="EvalReport JSON from `eval --out`")
     al.add_argument("--corpus", required=True, help="corpus used to produce the report")
     al.add_argument("--out", help="CSV output path (default stdout)")
 
     s = sub.add_parser("serve", help="serve the toy backend over the wire protocol")
+    s.set_defaults(run=_cmd_serve)
     _add_backend_flags(s)
     s.add_argument("--host", default="127.0.0.1")
     s.add_argument("--port", type=int, default=0)
@@ -159,20 +165,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _out_stream(path):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+def _output(path):
+    """Context manager for an output: the file at ``path``, or stdout without one."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _decode_prompt(args, backend, want_attention: bool):
-    """Decode ``--prompt``: greedy when anchoring is off or the prompt has no
-    anchored span, anchored otherwise."""
     spec = parse_markup(args.prompt, args.anchor_open, args.anchor_close)
-    tokens, resolution = prompt = resolve_anchors(spec, backend.vocab)
     limits = DecodeLimits(args.max_new)
-    config = _anchoring_config(args)
-    if config.mode == "off" or not resolution.token_positions:
-        return greedy_decode(backend, tokens, limits, want_attention=want_attention)
-    return anchored_decode(backend, prompt, config, limits, want_attention=want_attention)
+    return anchored_decode(backend, spec, _anchoring_config(args), limits, want_attention=want_attention)
 
 
 def _cmd_generate(args, backend) -> int:
@@ -270,43 +271,35 @@ def _cmd_eval(args, backend) -> int:
     return 0
 
 
-def _cmd_analyze(args, backend) -> int:
-    if args.analysis == "dilution":
-        curve = dilution_curve(_decode_prompt(args, backend, want_attention=True))
-        fp = _out_stream(args.out)
-        try:
-            write_curve_csv(curve, fp)
-        finally:
-            if args.out:
-                fp.close()
-        return 0
-    if args.analysis == "gradients":
-        tokens = backend.vocab.tokenize(args.prompt)
-        scores = gradient_attention(backend, tokens, delta=args.delta)
-        fp = _out_stream(args.out)
-        try:
-            fp.write("position,score\n")
-            for i, s in enumerate(scores.tolist()):
-                fp.write(f"{i},{s!r}\n")
-        finally:
-            if args.out:
-                fp.close()
-        return 0
-    # lengths
+def _cmd_dilution(args, backend) -> int:
+    curve = dilution_curve(_decode_prompt(args, backend, want_attention=True))
+    with _output(args.out) as fp:
+        write_curve_csv(curve, fp)
+    return 0
+
+
+def _cmd_gradients(args, backend) -> int:
+    scores = gradient_attention(backend, backend.vocab.tokenize(args.prompt), delta=args.delta)
+    with _output(args.out) as fp:
+        fp.write("position,score\n")
+        for i, s in enumerate(scores.tolist()):
+            fp.write(f"{i},{s!r}\n")
+    return 0
+
+
+def _cmd_lengths(args, backend) -> int:
     with open(args.report, encoding="utf-8") as fp:
         report = json.load(fp)
     difficulty = {t.id: t.difficulty or "overall" for t in load_corpus(args.corpus)}
-    triples = [
-        (entry["generated_len"], bool(entry["final_passed"]), difficulty.get(entry["id"], "overall"))
-        for entry in report["tasks"]
-    ]
-    stats = length_stats(triples)
-    fp = _out_stream(args.out)
     try:
+        stats = length_stats([
+            (entry["generated_len"], bool(entry["final_passed"]), difficulty.get(entry["id"], "overall"))
+            for entry in report["tasks"]
+        ])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{args.report} is not an eval report: {exc!r}") from exc
+    with _output(args.out) as fp:
         write_length_stats_csv(stats, fp)
-    finally:
-        if args.out:
-            fp.close()
     return 0
 
 
@@ -326,18 +319,8 @@ def main(argv=None) -> int:
     backend = None
     try:
         args = parser.parse_args(argv)
-        backend = _build_backend(args.backend, args.seed) if "backend" in args else None
-        if args.command == "generate":
-            return _cmd_generate(args, backend)
-        if args.command == "tune":
-            return _cmd_tune(args, backend)
-        if args.command == "eval":
-            return _cmd_eval(args, backend)
-        if args.command == "analyze":
-            return _cmd_analyze(args, backend)
-        if args.command == "serve":
-            return _cmd_serve(args, backend)
-        raise UsageError(f"unknown command {args.command!r}")
+        backend = _build_backend(args.backend) if "backend" in args else None
+        return args.run(args, backend)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -69,26 +69,20 @@ class BeamCandidate:
     finished: bool
 
 
-def _resolve_prompt(backend, prompt) -> tuple[list[int], AnchorResolution]:
-    """Accept a PromptSpec (tokenized against the backend's vocabulary) or a
-    pre-resolved (prompt_tokens, AnchorResolution) pair whose prompt_length is
-    len(prompt_tokens), the form a backend without surface strings requires."""
-    if isinstance(prompt, PromptSpec):
-        return resolve_anchors(prompt, backend.vocab)
-    prompt_tokens, resolution = prompt
-    if resolution.prompt_length != len(prompt_tokens):
-        raise ValueError(f"prompt_length {resolution.prompt_length} != {len(prompt_tokens)} prompt tokens")
-    return list(prompt_tokens), resolution
-
-
 def _prepare(backend, prompt, config: AnchoringConfig):
-    """Prompt resolution and anchoring rule shared by anchored_decode and
-    beam_search_anchored. Returns (prompt_tokens, resolution, config), the
-    config replaced by None when anchoring does not apply (mode off, or no
-    anchored tokens in the prompt)."""
-    prompt_tokens, resolution = _resolve_prompt(backend, prompt)
-    applies = config.mode != "off" and resolution.token_positions
-    return prompt_tokens, resolution, config if applies else None
+    """Prompt resolution shared by the decoders. ``prompt`` is a PromptSpec
+    (tokenized against the backend's vocabulary) or a pre-resolved
+    (prompt_tokens, AnchorResolution) pair whose prompt_length is
+    len(prompt_tokens), the form a backend without surface strings requires.
+    Returns (prompt_tokens, resolution, config), the config replaced by None
+    where it does not apply to the prompt (AnchoringConfig.applies_to)."""
+    if isinstance(prompt, PromptSpec):
+        prompt_tokens, resolution = resolve_anchors(prompt, backend.vocab)
+    else:
+        prompt_tokens, resolution = prompt
+        if resolution.prompt_length != len(prompt_tokens):
+            raise ValueError(f"prompt_length {resolution.prompt_length} != {len(prompt_tokens)} prompt tokens")
+    return list(prompt_tokens), resolution, config if config.applies_to(resolution) else None
 
 
 def _score_step(backend, context, resolution, config, want_attention: bool = False):
@@ -167,12 +161,11 @@ def anchored_decode(
     """Anchored decode: two score() calls per step (original context, then
     the same context with ``mask_positions`` set to the anchored span), next
     token = argmax of the augmented logits. The mask set is frozen at prompt
-    resolution; generated tokens are never masked. Raises ValueError when
-    anchoring does not apply (mode off, or no anchored tokens)."""
-    prompt_tokens, resolution, anchored = _prepare(backend, prompt, config)
-    if anchored is None:
-        raise ValueError("anchored_decode needs mode fixed or confidence and an anchored span")
-    return _decode(backend, prompt_tokens, resolution, anchored, limits, want_attention)
+    resolution; generated tokens are never masked. Where anchoring does not
+    apply (mode off, or no anchored tokens) it is greedy_decode: one score()
+    call per step, no masked pass."""
+    prompt_tokens, resolution, config = _prepare(backend, prompt, config)
+    return _decode(backend, prompt_tokens, resolution, config, limits, want_attention)
 
 
 def beam_search_anchored(
@@ -242,9 +235,9 @@ class OverheadReport:
 
 def measure_overhead(backend, prompt: PromptSpec, config: AnchoringConfig, limits: DecodeLimits) -> OverheadReport:
     """Run baseline and anchored decodes on the same prompt and report
-    throughput. The anchored loop issues exactly two score() calls per
-    emitted token against the baseline's one."""
-    prompt_tokens, _ = _resolve_prompt(backend, prompt)
+    throughput. Where the config applies, the anchored loop issues exactly
+    two score() calls per emitted token against the baseline's one."""
+    prompt_tokens, _, _ = _prepare(backend, prompt, config)
 
     counting = CountingBackend(backend)
     t0 = time.perf_counter()

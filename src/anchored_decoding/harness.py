@@ -41,6 +41,15 @@ class Task:
     def __post_init__(self):
         if not self.tests and not self.entry_check:
             raise ValueError(f"task {self.id!r} has neither tests nor entry_check")
+        for i, test in enumerate(self.tests):
+            if not isinstance(test, dict) or not isinstance(test.get("cmd"), str):
+                raise ValueError(f"task {self.id!r}: test {i} must be an object with a string cmd")
+            name = test.get("file", "solution.txt")  # written into the sandbox, so it may not leave it
+            if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+                raise ValueError(f"task {self.id!r}: test {i} file {name!r} is not a plain file name")
+        for pair in self.entry_check:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(s, str) for s in pair)):
+                raise ValueError(f"task {self.id!r}: entry_check pairs must be (input, output) strings")
 
 
 @dataclass(frozen=True)
@@ -304,15 +313,15 @@ def evaluate(
     on_test_failure: greedy baseline first; the anchored pass runs only for
     tasks whose baseline failed, and its output replaces the answer only if
     it passes (so Pass@1 never drops below baseline). always: anchored pass
-    only. Tasks without an anchored span, and every task under mode off, get
+    only. Tasks the config does not apply to (AnchoringConfig.applies_to) get
     the greedy baseline under either policy. With beam_k, Pass@k is computed
     over the beam candidates (a plain beam search where anchoring does not
     apply).
 
-    beam_k, config.top_k and timeout_ms are checked before the first task.
-    Each prompt is resolved once; a prompt that fails to parse or tokenize is
-    an error in its task's record, and that task is left out of the length
-    buckets.
+    beam_k, config.top_k, timeout_ms and workers are checked before the
+    first task. Each prompt is resolved once; a prompt that fails to parse
+    or tokenize is an error in its task's record, and that task is left out
+    of the length buckets.
     """
     corpus = list(corpus)
     if not corpus:
@@ -323,6 +332,8 @@ def evaluate(
         raise ValueError(f"top_k must be in 1..{backend.vocab.size}")
     if timeout_ms < 1:
         raise ValueError("timeout must be >= 1 ms")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     t_start = time.perf_counter()
     prompt_lengths: dict[str, int] = {}  # task id -> prompt token count
 
@@ -339,7 +350,7 @@ def evaluate(
                 outcomes = [passes(c.tokens) for c in candidates]
                 gen_len = len(candidates[0].tokens) if candidates else 0
                 return TaskRecord(task.id, None, None, any(outcomes[:1]), outcomes, gen_len)
-            anchor = config.mode != "off" and bool(resolution.token_positions)
+            anchor = config.applies_to(resolution)
             if anchor and config.activation == "always":
                 trace = anchored_decode(backend, prompt, config, limits)
                 passed = passes(trace.generated_tokens)

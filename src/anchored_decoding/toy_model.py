@@ -148,8 +148,8 @@ class ToyBackend:
     def score(self, context_tokens, mask_positions=frozenset(), want_attention: bool = False) -> ScoreResult:
         tokens = self._tokens(context_tokens)
         for m in mask_positions:
-            if not (0 <= m < len(tokens)):
-                raise ValueError(f"mask position {m} out of range for context length {len(tokens)}")
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not (0 <= m < len(tokens)):
+                raise ValueError(f"mask position {m!r} is not an int in 0..{len(tokens) - 1}")
         if mask_positions:
             tokens = tokens.copy()
             tokens[list(mask_positions)] = self.vocab.mask_id

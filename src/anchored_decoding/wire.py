@@ -72,11 +72,12 @@ def handle_request(backend, line: str) -> dict:
             max_positions=backend.max_positions,
             token_strings=None if v.token_strings is None else sorted(v.token_strings.items()),
         )
+    # type(x) is int throughout: JSON true and false decode to bool, an int subclass
     tokens = req.get("tokens")
-    if not isinstance(tokens, list) or not tokens or not all(isinstance(t, int) for t in tokens):
+    if not isinstance(tokens, list) or not tokens or not all(type(t) is int for t in tokens):
         return _error("bad_request", "tokens must be a non-empty list of ints")
     masks = req.get("mask_positions", [])
-    if not isinstance(masks, list) or not all(isinstance(m, int) for m in masks):
+    if not isinstance(masks, list) or not all(type(m) is int for m in masks):
         return _error("bad_request", "mask_positions must be a list of ints")
     for m in masks:
         if not (0 <= m < len(tokens)):
@@ -85,7 +86,7 @@ def handle_request(backend, line: str) -> dict:
     if not isinstance(want_attention, bool):
         return _error("bad_request", "want_attention must be a bool")
     top_k = req.get("top_k")
-    if top_k is not None and (not isinstance(top_k, int) or top_k < 1):
+    if top_k is not None and (type(top_k) is not int or top_k < 1):
         return _error("bad_request", "top_k must be a positive int or null")
     try:
         res = backend.score(tokens, frozenset(masks), want_attention=want_attention)

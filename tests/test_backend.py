@@ -129,6 +129,13 @@ def test_bad_mask_index(backend):
         backend.score([2, 3], frozenset({5}))
 
 
+def test_non_int_mask_position_rejected(backend):
+    for bad in (True, False, 1.0, "1"):
+        with pytest.raises(ValueError, match="not an int in 0..1"):
+            backend.score([2, 3], mask_positions={bad})
+    assert np.array_equal(backend.score([2, 3], {np.int64(1)}).logits, backend.score([2, 3], {1}).logits)
+
+
 def test_empty_context_rejected(backend):
     with pytest.raises(ValueError):
         backend.score([])

@@ -103,6 +103,12 @@ def test_invalid_config_is_usage_error(capsys, tmp_path, flags):
         assert err.startswith("error: ") and out == ""
 
 
+def test_seed_flag_is_gone(capsys):
+    # the toy seed is a backend option: toy:seed=N
+    code, out, err = run_cli(capsys, "generate", "--backend", BACKEND, "--prompt", "ab⟦cd⟧", "--seed", "3")
+    assert code == 1 and out == "" and "--seed" in err
+
+
 def test_unknown_backend_usage_error(capsys):
     code, _, err = run_cli(capsys, "generate", "--backend", "gpu:0", "--prompt", "⟦a⟧")
     assert code == 1
@@ -145,6 +151,13 @@ def test_serve_stops_on_interrupt(capsys, monkeypatch):
 def test_missing_corpus_runtime_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--backend", BACKEND, "--corpus", "/nope.jsonl")
     assert code == 2
+
+
+def test_eval_nonpositive_workers_exits_before_any_task(capsys, tmp_path):
+    corpus = str(eval_corpus(tmp_path))
+    for workers in ("0", "-2"):
+        code, out, err = run_cli(capsys, "eval", "--backend", BACKEND, "--corpus", corpus, "--workers", workers)
+        assert code == 2 and out == "" and "workers" in err
 
 
 def test_generate_trace_file(capsys, tmp_path):
@@ -208,7 +221,7 @@ def test_generate_and_eval_over_remote_match_local(capsys, tmp_path):
     from anchored_decoding.cli import _build_backend
 
     # the CLI default backend, served: generate needs its surface strings
-    with LogitServer(_build_backend("toy:seed=0", None)) as server:
+    with LogitServer(_build_backend("toy:seed=0")) as server:
         remote = "remote:{}:{}".format(*server.address)
         code, remote_out, err = run_cli(capsys, "generate", "--backend", remote, "--prompt", "ab⟦cd⟧", "--json")
         assert code == 0, err
@@ -275,7 +288,7 @@ def test_analyze_gradients_csv(capsys, tmp_path):
     assert lines[0] == "position,score"
     assert len(lines) == 5
     # plain decimals, each the float gradient_attention computed
-    backend = _build_backend(BACKEND, None)
+    backend = _build_backend(BACKEND)
     want = gradient_attention(backend, backend.vocab.tokenize("abcd")).tolist()
     assert [line.split(",") for line in lines[1:]] == [[str(i), repr(w)] for i, w in enumerate(want)]
     assert [float(line.split(",")[1]) for line in lines[1:]] == want
@@ -308,3 +321,11 @@ def test_analyze_lengths_csv(capsys, tmp_path):
     lines = out_path.read_text().strip().split("\n")
     assert lines[0].strip() == "group,status,mean,median,count"
     assert len(lines) >= 3
+    # a report that is not an EvalReport is a runtime error naming the report
+    task = json.loads(report_path.read_text())["tasks"][0]
+    del task["generated_len"]
+    for doc in ({}, [], "tasks", {"tasks": 3}, {"tasks": [task]}):
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "analyze", "lengths", "--report", str(bad_path), "--corpus", str(corpus))
+        assert code == 2 and out == "" and str(bad_path) in err, (doc, err)

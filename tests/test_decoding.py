@@ -146,11 +146,30 @@ def test_trace_vectors_share_ids_and_recombine(backend, rng):
                 assert np.array_equal(aug, combine_fixed(orig, masked, config.omega))
 
 
-def test_anchored_requires_anchors(backend):
-    with pytest.raises(ValueError):
-        anchored_decode(backend, parse_markup("abcd"), fixed(1.25), LIMITS)
-    with pytest.raises(ValueError):
-        anchored_decode(backend, parse_markup("ab⟦cd⟧"), AnchoringConfig(mode="off"), LIMITS)
+def test_anchored_decode_is_greedy_where_anchoring_does_not_apply(backend):
+    # mode off, or a prompt without an anchored span: the original logits
+    # alone, one score() call per step and no masked pass (top_k included)
+    limits = DecodeLimits(12)
+    for markup, config in (
+        ("ab⟦cd⟧", AnchoringConfig(mode="off")),
+        ("ab⟦cd⟧", AnchoringConfig(mode="off", top_k=3)),
+        ("abcd", fixed(1.25)),
+        ("abcd", fixed(1.25, top_k=3)),
+        ("abcd", AnchoringConfig(mode="confidence", lam=2.0)),
+    ):
+        tokens, resolution = resolve_anchors(parse_markup(markup), backend.vocab)
+        assert not config.applies_to(resolution)
+        greedy = greedy_decode(backend, tokens, limits, want_attention=True)
+        counting = CountingBackend(backend)
+        trace = anchored_decode(counting, parse_markup(markup), config, limits, want_attention=True)
+        assert counting.masked_calls == 0 and counting.calls == len(trace.steps), (markup, config)
+        assert trace.generated_tokens == greedy.generated_tokens
+        assert trace.finished_reason == greedy.finished_reason
+        for (_, got), (_, want) in zip(trace.steps, greedy.steps):
+            assert got.masked is None and got.augmented is None
+            assert np.array_equal(got.original, want.original)
+            assert np.array_equal(got.attention_row, want.attention_row)
+    assert fixed(1.25).applies_to(resolve_anchors(parse_markup("ab⟦cd⟧"), backend.vocab)[1])
 
 
 def test_argmax_shift_invariance(rng):

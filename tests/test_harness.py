@@ -109,6 +109,39 @@ def test_task_needs_some_check():
         Task(id="x", prompt="p")
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"tests": [{"cmd": "exit 0", "file": "/tmp/escape.txt"}]},
+        {"tests": [{"cmd": "exit 0", "file": "../escape.txt"}]},
+        {"tests": [{"cmd": "exit 0", "file": "sub/p.txt"}]},
+        {"tests": [{"cmd": "exit 0", "file": ".."}]},
+        {"tests": [{"cmd": "exit 0", "file": 3}]},
+        {"tests": [{"file": "a"}]},
+        {"tests": [{"cmd": ["exit", "0"]}]},
+        {"tests": "abc"},
+        {"tests": [["exit 0"]]},
+        {"entry_check": [{"in": 1, "out": "a"}]},
+        {"entry_check": [{"in": "a", "out": None}]},
+    ],
+)
+def test_malformed_tests_rejected_at_load(tmp_path, fields):
+    # checked in Task itself, so a task built directly is checked too
+    path = tmp_path / "c.jsonl"
+    good = {"id": "ok", "prompt": "p", "tests": [{"cmd": "exit 0", "file": "p.txt"}]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps({"id": "bad", "prompt": "p", **fields}) + "\n")
+    with pytest.raises(ValueError, match=":2: task 'bad'"):
+        load_corpus(path)
+
+
+def test_test_file_stays_in_sandbox(tmp_path):
+    with pytest.raises(ValueError, match="plain file name"):
+        Task(id="t", prompt="p", tests=({"cmd": "exit 0", "file": str(tmp_path / "escape.txt")},))
+    assert not (tmp_path / "escape.txt").exists()
+    task = Task(id="t", prompt="p", tests=({"cmd": "test -s solution.txt"},))  # file defaults to solution.txt
+    assert run_tests("x", task).passed
+
+
 # -- toy language ------------------------------------------------------------
 
 
@@ -395,7 +428,7 @@ def test_evaluate_checks_run_inputs_before_any_task(backend, monkeypatch):
     calls = count_harness_calls(monkeypatch, "parse_markup")
     corpus = [make_task(f"t{i}", p, "d") for i, p in enumerate(("ab⟦cd⟧", "abc⟦d⟧", "⟦a⟧bc"))]
     counting = CountingBackend(backend)
-    for bad in ({"beam_k": 0}, {"beam_k": backend.vocab.size + 1}, {"timeout_ms": 0}):
+    for bad in ({"beam_k": 0}, {"beam_k": backend.vocab.size + 1}, {"timeout_ms": 0}, {"workers": 0}, {"workers": -1}):
         with pytest.raises(ValueError):
             evaluate(counting, corpus, FIXED, LIMITS, **bad)
     with pytest.raises(ValueError, match="top_k"):

@@ -170,8 +170,16 @@ def test_malformed_json_keeps_connection_open(server):
         f.flush()
         resp = json.loads(f.readline())
         assert resp["code"] == "bad_request"
-        # neither a token id past int64 nor a line that is not UTF-8 drops it
-        for line in (json.dumps({"v": 1, "op": "score", "tokens": [10**30]}).encode(), b"\xff\xfe"):
+        # neither a token id past int64, a JSON boolean where an int belongs,
+        # nor a line that is not UTF-8 drops it
+        score = {"v": 1, "op": "score", "tokens": [2, 3]}
+        for line in (
+            json.dumps({**score, "tokens": [10**30]}).encode(),
+            json.dumps({**score, "tokens": [2, True]}).encode(),
+            json.dumps({**score, "mask_positions": [False]}).encode(),
+            json.dumps({**score, "top_k": True}).encode(),
+            b"\xff\xfe",
+        ):
             f.write(line + b"\n")
             f.flush()
             assert json.loads(f.readline())["code"] == "bad_request"
