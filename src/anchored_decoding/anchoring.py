@@ -60,8 +60,8 @@ class AnchoringConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.mode == "fixed" and not np.isfinite(self.omega):
             raise ValueError("omega must be finite")
-        if self.mode == "confidence" and self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if self.mode == "confidence" and not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lambda must be finite and nonnegative")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be positive")
         if self.mode == "confidence" and self.top_k is not None:
@@ -186,8 +186,8 @@ def combine_confidence(original, masked, lam: float) -> np.ndarray:
     original = np.asarray(original, dtype=np.float64)
     masked = np.asarray(masked, dtype=np.float64)
     _check_lengths(original, masked)
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be finite and nonnegative")
     p = softmax(original)
     return original + lam * (1.0 - p) * (original - masked)
 

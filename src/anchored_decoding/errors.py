@@ -9,6 +9,10 @@ class CapacityError(AnchorError):
     """Context exceeds the backend's maximum sequence length."""
 
 
+class MaskIndexError(ValueError):
+    """A mask position outside the context it masks."""
+
+
 class TransportError(AnchorError):
     """Remote backend unreachable or protocol violated.
 

@@ -13,14 +13,14 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .anchoring import AnchoringConfig, parse_markup, resolve_anchors
 from .decoding import DecodeLimits, anchored_decode, beam_search_anchored, greedy_decode
 
 SANDBOX_ENV_VAR = "ANCHOR_SANDBOX_DIR"
 
-_TASK_FIELDS = {"id", "prompt", "tests", "entry_check", "difficulty", "meta"}
+_TASK_FIELDS = {"id", "prompt", "tests", "entry_check", "difficulty"}
 
 # Each test runs in a process group of its own, so a timeout can kill every
 # process it started. A group, not a session: where the kernel groups the
@@ -36,7 +36,6 @@ class Task:
     tests: tuple[dict, ...] = ()
     entry_check: tuple[tuple[str, str], ...] = ()
     difficulty: str | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.tests and not self.entry_check:
@@ -134,7 +133,6 @@ def task_from_dict(obj: dict) -> Task:
         tests=tuple(obj.get("tests") or []),
         entry_check=tuple((p["in"], p["out"]) for p in entry_check),
         difficulty=obj.get("difficulty"),
-        meta=obj.get("meta") or {},
     )
 
 
@@ -145,7 +143,6 @@ def task_to_dict(task: Task) -> dict:
         "tests": list(task.tests),
         "entry_check": [{"in": a, "out": b} for a, b in task.entry_check] or None,
         "difficulty": task.difficulty,
-        "meta": task.meta,
     }
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchoring import softmax
-from .errors import CapacityError
+from .errors import CapacityError, MaskIndexError
 from .vocab import VocabSpec
 
 
@@ -45,6 +45,30 @@ class ScoreResult:
     logits: np.ndarray
     ids: np.ndarray | None = None
     attention: np.ndarray | None = None
+
+
+def _is_int(x) -> bool:  # numpy ints are ints; a bool is not, though Python makes it one
+    return type(x) is int or isinstance(x, np.integer)
+
+
+def check_score_args(context_tokens, mask_positions, vocab_size: int, max_positions: int):
+    """The one rule for score()'s arguments (README): returns (a new int64 context, sorted distinct masks)."""
+    if isinstance(context_tokens, np.ndarray) and context_tokens.ndim == 1:
+        context_tokens = context_tokens.tolist()  # an int array gives ints, a float array floats
+    if not isinstance(context_tokens, (list, tuple)) or not context_tokens:
+        raise ValueError("context_tokens must be a non-empty sequence of ints")
+    n = len(context_tokens)
+    if n > max_positions:
+        raise CapacityError(f"context length {n} exceeds max_positions {max_positions}")
+    if not all(_is_int(t) and 0 <= t < vocab_size for t in context_tokens):
+        raise ValueError(f"token ids must be ints in 0..{vocab_size - 1}")
+    masks = list(mask_positions)  # read once: a one-shot iterable is checked and used alike
+    for m in masks:
+        if not _is_int(m):
+            raise ValueError(f"mask position {m!r} is not an int in 0..{n - 1}")
+        if not 0 <= m < n:
+            raise MaskIndexError(f"mask position {m} is outside the context, 0..{n - 1}")
+    return np.array(context_tokens, dtype=np.int64), sorted({int(m) for m in masks})
 
 
 def top_k_pairs(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,44 +151,30 @@ class ToyBackend:
         logits = _layernorm(h[-1]) @ self.unembed
         return logits, last_row
 
-    def _tokens(self, context_tokens) -> np.ndarray:
-        """The context as an int64 array, checked for score() and embed()."""
-        try:
-            tokens = np.asarray(context_tokens, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError("token id out of vocabulary range") from exc
-        if tokens.ndim != 1 or len(tokens) == 0:
-            raise ValueError("context_tokens must be a non-empty 1-d sequence")
-        if len(tokens) > self.max_positions:
-            raise CapacityError(
-                f"context length {len(tokens)} exceeds max_positions {self.max_positions}"
-            )
-        if np.any(tokens < 0) or np.any(tokens >= self.vocab.size):
-            raise ValueError("token id out of vocabulary range")
-        return tokens
-
     # -- public API ---------------------------------------------------------
 
     def score(self, context_tokens, mask_positions=frozenset(), want_attention: bool = False) -> ScoreResult:
-        tokens = self._tokens(context_tokens)
-        for m in mask_positions:
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not (0 <= m < len(tokens)):
-                raise ValueError(f"mask position {m!r} is not an int in 0..{len(tokens) - 1}")
-        if mask_positions:
-            tokens = tokens.copy()
-            tokens[list(mask_positions)] = self.vocab.mask_id
+        tokens, masks = check_score_args(context_tokens, mask_positions, self.vocab.size, self.max_positions)
+        tokens[masks] = self.vocab.mask_id
         logits, att_row = self._forward(self._embed(tokens))
         return ScoreResult(logits=logits, attention=att_row if want_attention else None)
 
     def forward_from_embeddings(self, embedded: np.ndarray) -> np.ndarray:
         """Logits from a caller-supplied embedded input (positional encodings
-        already added). Exposed for gradient-based sensitivity probes."""
-        logits, _ = self._forward(np.asarray(embedded, dtype=np.float64))
+        already added), shape (T, embed_dim) with 1 <= T <= max_positions.
+        Exposed for gradient-based sensitivity probes."""
+        h = np.asarray(embedded, dtype=np.float64)
+        d = self.config.embed_dim
+        if h.ndim != 2 or h.shape[1] != d or len(h) == 0:
+            raise ValueError(f"embedded input must have shape (T, {d}) with T >= 1, not {h.shape}")
+        if len(h) > self.max_positions:
+            raise CapacityError(f"context length {len(h)} exceeds max_positions {self.max_positions}")
+        logits, _ = self._forward(h)
         return logits
 
     def embed(self, context_tokens) -> np.ndarray:
         """Embedded input (token + positional) for the given context."""
-        return self._embed(self._tokens(context_tokens))
+        return self._embed(check_score_args(context_tokens, (), self.vocab.size, self.max_positions)[0])
 
 
 class CountingBackend:

@@ -17,19 +17,20 @@ import threading
 
 import numpy as np
 
-from .errors import CapacityError, TransportError
-from .toy_model import ScoreResult, top_k_pairs
+from .errors import CapacityError, MaskIndexError, TransportError
+from .toy_model import ScoreResult, check_score_args, top_k_pairs
 from .vocab import VocabSpec
 
 PROTOCOL_VERSION = 1
 MAX_REQUEST_BYTES = 1 << 20  # longest request line, newline included; holds well over 100k token ids
+MAX_CONNECTIONS = 64  # open connections, each with its handler thread; one more is refused
 # how often serve_forever checks for stop(); at the 0.5 s default each stop() would wait that long
 _POLL_INTERVAL = 0.05
 
 # the fields each op accepts
 _FIELDS = {"meta": {"v", "op"}, "score": {"v", "op", "tokens", "mask_positions", "want_attention", "top_k"}}
-# the error codes a client raises as the local backend would; any other is a TransportError
-_CLIENT_ERRORS = {"bad_request": ValueError, "bad_mask_index": ValueError, "context_too_long": CapacityError}
+# error code <-> exception, read both ways (the server takes the first match); any other code is a TransportError
+_ERRORS = ((MaskIndexError, "bad_mask_index"), (CapacityError, "context_too_long"), (ValueError, "bad_request"))
 
 
 def _fmt(x: float) -> str:
@@ -72,29 +73,21 @@ def handle_request(backend, line: str) -> dict:
             max_positions=backend.max_positions,
             token_strings=None if v.token_strings is None else sorted(v.token_strings.items()),
         )
-    # type(x) is int throughout: JSON true and false decode to bool, an int subclass
-    tokens = req.get("tokens")
-    if not isinstance(tokens, list) or not tokens or not all(type(t) is int for t in tokens):
-        return _error("bad_request", "tokens must be a non-empty list of ints")
-    masks = req.get("mask_positions", [])
-    if not isinstance(masks, list) or not all(type(m) is int for m in masks):
+    tokens, masks = req.get("tokens"), req.get("mask_positions", [])
+    if not isinstance(masks, list):
         return _error("bad_request", "mask_positions must be a list of ints")
-    for m in masks:
-        if not (0 <= m < len(tokens)):
-            return _error("bad_mask_index", f"mask index {m} out of range for {len(tokens)} tokens")
     want_attention = req.get("want_attention", False)
     if not isinstance(want_attention, bool):
         return _error("bad_request", "want_attention must be a bool")
     top_k = req.get("top_k")
-    if top_k is not None and (type(top_k) is not int or top_k < 1):
+    if top_k is not None and (type(top_k) is not int or top_k < 1):  # not bool, which JSON true decodes to
         return _error("bad_request", "top_k must be a positive int or null")
     try:
+        check_score_args(tokens, masks, backend.vocab.size, backend.max_positions)
         res = backend.score(tokens, frozenset(masks), want_attention=want_attention)
         ids = range(len(res.logits)) if top_k is None else top_k_pairs(res.logits, top_k)[0].tolist()
-    except CapacityError as exc:
-        return _error("context_too_long", str(exc))
-    except ValueError as exc:
-        return _error("bad_request", str(exc))
+    except (ValueError, CapacityError) as exc:
+        return _error(next(code for kind, code in _ERRORS if isinstance(exc, kind)), str(exc))
     return _reply(
         logits=[[str(i), _fmt(res.logits[i])] for i in ids],
         attention=None if res.attention is None else [_fmt(a) for a in res.attention],
@@ -118,7 +111,9 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class _Server(socketserver.ThreadingTCPServer):
-    """One handler thread per connection; ``connections`` holds the open ones."""
+    """One handler thread per connection; ``connections`` holds the open
+    ones. A connection past MAX_CONNECTIONS gets one too_many_connections
+    reply and is closed, with no thread."""
 
     daemon_threads = True
 
@@ -130,8 +125,15 @@ class _Server(socketserver.ThreadingTCPServer):
 
     def process_request(self, request, client_address):
         with self.lock:
-            self.connections.add(request)
-        super().process_request(request, client_address)
+            admitted = len(self.connections) < MAX_CONNECTIONS
+            if admitted:
+                self.connections.add(request)
+        if admitted:
+            return super().process_request(request, client_address)
+        reply = _error("too_many_connections", f"the server holds {MAX_CONNECTIONS} connections already")
+        with contextlib.suppress(OSError):  # the client may be gone already
+            request.sendall((json.dumps(reply) + "\n").encode("utf-8"))
+        self.shutdown_request(request)
 
     def shutdown_request(self, request):
         with self.lock:
@@ -204,6 +206,8 @@ class RemoteBackend:
                 stop_ids=frozenset(meta["stop_ids"]),
                 token_strings=dict(meta["token_strings"]) if meta.get("token_strings") else None,
             )
+            if type(meta["max_positions"]) is not int or meta["max_positions"] < 1:  # score() checks against it
+                raise ValueError("max_positions must be a positive int")
             return vocab, meta["max_positions"]
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError("malformed meta response", raw=meta) from exc
@@ -228,19 +232,20 @@ class RemoteBackend:
         if resp["ok"]:
             return resp
         code, message = resp.get("code"), resp.get("message")
-        if code in _CLIENT_ERRORS:
-            raise _CLIENT_ERRORS[code](message)
+        for kind, known in _ERRORS:
+            if code == known:
+                raise kind(message)
         raise TransportError(f"server error {code}: {message}", raw=resp)
 
     def score(self, context_tokens, mask_positions=frozenset(), want_attention=False) -> ScoreResult:
-        req = {
+        tokens, masks = check_score_args(context_tokens, mask_positions, self.vocab.size, self.max_positions)
+        resp = self._request({
             "v": PROTOCOL_VERSION,
             "op": "score",
-            "tokens": [int(t) for t in context_tokens],
-            "mask_positions": sorted(int(m) for m in mask_positions),
+            "tokens": tokens.tolist(),
+            "mask_positions": masks,
             "want_attention": bool(want_attention),
-        }
-        resp = self._request(req)
+        })
         try:
             ids = [int(i) for i, _ in resp["logits"]]
             values = np.array([float(v) for _, v in resp["logits"]])

@@ -198,6 +198,9 @@ def test_combine_confidence_uniform_degenerates_to_fixed(rng):
 def test_combine_confidence_negative_lambda():
     with pytest.raises(ValueError):
         combine_confidence([1.0], [0.0], -0.1)
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            combine_confidence([1.0], [0.0], lam)
 
 
 # -- config validation -------------------------------------------------------
@@ -210,6 +213,9 @@ def test_config_validation():
         AnchoringConfig(mode="fixed", omega=float("inf"))
     with pytest.raises(ValueError):
         AnchoringConfig(mode="confidence", lam=-1.0)
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            AnchoringConfig(mode="confidence", lam=lam)
     with pytest.raises(ValueError):
         AnchoringConfig(top_k=0)
     with pytest.raises(ValueError, match="only supported in fixed mode"):

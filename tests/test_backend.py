@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from anchored_decoding import RemoteBackend
 from anchored_decoding import ToyBackend, ToyModelConfig, VocabSpec
 from anchored_decoding.errors import CapacityError
+from anchored_decoding.errors import MaskIndexError
 from anchored_decoding.toy_model import top_k_pairs
 from anchored_decoding.wire import handle_request
 
 from conftest import make_backend
+from test_wire import StubServer
 
 
 def oracle_forward(backend, tokens):
@@ -134,6 +137,19 @@ def test_non_int_mask_position_rejected(backend):
         with pytest.raises(ValueError, match="not an int in 0..1"):
             backend.score([2, 3], mask_positions={bad})
     assert np.array_equal(backend.score([2, 3], {np.int64(1)}).logits, backend.score([2, 3], {1}).logits)
+    # a client checks as the local backend does, before it sends: the stub
+    # answers every score request with the reply for mask {1}, so a bad
+    # argument that reached it would return logits instead of raising
+    meta = handle_request(backend, json.dumps({"v": 1, "op": "meta"}))
+    masked = handle_request(backend, json.dumps({"v": 1, "op": "score", "tokens": [2, 3], "mask_positions": [1]}))
+    with StubServer(meta, masked) as stub, RemoteBackend(*stub.address, timeout=5) as remote:
+        for probe in (backend, remote):
+            for bad in (True, 1.7, "1"):
+                with pytest.raises(ValueError, match="not an int in 0..1"):
+                    probe.score([2, 3], mask_positions={bad})
+            with pytest.raises(MaskIndexError):
+                probe.score([2, 3], mask_positions={5})
+            assert np.array_equal(probe.score([2, 3], {np.int64(1)}).logits, backend.score([2, 3], {1}).logits)
 
 
 def test_empty_context_rejected(backend):
@@ -151,6 +167,14 @@ def test_embed_checks_tokens_like_score(backend):
         with pytest.raises(CapacityError):
             probe(too_long)
     assert backend.embed([2, 3]).shape == (2, backend.config.embed_dim)
+    # forward_from_embeddings bounds its input's length as score() does
+    d = backend.config.embed_dim
+    with pytest.raises(CapacityError):
+        backend.forward_from_embeddings(np.zeros((backend.max_positions + 1, d)))
+    for bad_shape in ((3, d + 1), (0, d), (d,)):
+        with pytest.raises(ValueError):
+            backend.forward_from_embeddings(np.zeros(bad_shape))
+    assert np.array_equal(backend.forward_from_embeddings(backend.embed([2, 3])), backend.score([2, 3]).logits)
 
 
 def test_config_validation():

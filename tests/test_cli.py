@@ -89,6 +89,8 @@ def test_lambda_with_fixed_mode_is_usage_error(capsys):
         ["--top-k", "0"],
         ["--mode", "confidence", "--top-k", "2"],
         ["--mode", "confidence", "--lambda", "-1"],
+        ["--mode", "confidence", "--lambda", "nan"],
+        ["--mode", "confidence", "--lambda", "inf"],
     ],
 )
 def test_invalid_config_is_usage_error(capsys, tmp_path, flags):

@@ -85,7 +85,6 @@ def test_corpus_round_trip(tmp_path, rng):
             entry_check=(("ab", "abab"),),
             tests=({"cmd": "exit 0", "file": "p.txt"},),
             difficulty=["easy", "medium", "hard"][i % 3],
-            meta={"n": i},
         )
         for i in range(20)
     ]
@@ -102,6 +101,8 @@ def test_corpus_round_trip(tmp_path, rng):
 def test_unknown_task_field_rejected():
     with pytest.raises(ValueError, match="unknown"):
         task_from_dict({"id": "x", "prompt": "p", "tests": [], "entry_check": None, "wat": 1})
+    with pytest.raises(ValueError, match="unknown task fields: \\['meta'\\]"):
+        task_from_dict({"id": "x", "prompt": "p", "tests": [{"cmd": "exit 0"}], "meta": {"n": 1}})
 
 
 def test_task_needs_some_check():

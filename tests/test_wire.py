@@ -98,6 +98,10 @@ def test_meta(remote, server, server_backend):
         RemoteBackend(*stub.address, timeout=5)
     assert "overloaded" in str(info.value) and "try later" in str(info.value)
     assert info.value.raw == error
+    # a limit the client's argument check could not use is a malformed reply
+    for bad in ("64", None, 0):
+        with StubServer(dict(meta, max_positions=bad)) as stub, pytest.raises(TransportError, match="malformed meta"):
+            RemoteBackend(*stub.address, timeout=5)
 
 
 def test_meta_without_surface_strings_gives_opaque_vocab():
@@ -179,6 +183,8 @@ def test_malformed_json_keeps_connection_open(server):
             json.dumps({**score, "mask_positions": [False]}).encode(),
             json.dumps({**score, "top_k": True}).encode(),
             b"\xff\xfe",
+            *(json.dumps({**score, "tokens": bad}).encode() for bad in ("ab", {"2": 3}, 2, None)),
+            *(json.dumps({**score, "mask_positions": bad}).encode() for bad in (1, None)),
         ):
             f.write(line + b"\n")
             f.flush()
@@ -199,7 +205,7 @@ def test_context_too_long_over_wire(remote, server_backend):
         remote.score([2] * (server_backend.max_positions + 1))
 
 
-@pytest.mark.parametrize("tokens", [[99], [], [-1], [3, 10**30]])
+@pytest.mark.parametrize("tokens", [[99], [], [-1], [3, 10**30], [2.7, 3], ["2", 3], [True, 3], "ab"])
 def test_bad_tokens_raise_value_error_as_locally(remote, server_backend, tokens):
     with pytest.raises(ValueError):
         server_backend.score(tokens)
@@ -207,6 +213,12 @@ def test_bad_tokens_raise_value_error_as_locally(remote, server_backend, tokens)
         remote.score(tokens)
     # the connection still serves
     assert np.array_equal(remote.score([3, 4]).logits, server_backend.score([3, 4]).logits)
+    # the client raises before it sends: a score request reaching the stub
+    # would get a malformed reply, a TransportError
+    meta = handle_request(server_backend, json.dumps({"v": 1, "op": "meta"}))
+    with StubServer(meta, {"v": 1, "ok": True}) as stub, RemoteBackend(*stub.address, timeout=5) as rb:
+        with pytest.raises(ValueError):
+            rb.score(tokens)
 
 
 def test_sequential_requests_no_state_leakage(remote, server_backend, rng):
@@ -324,6 +336,23 @@ def test_server_forgets_closed_connections(server_backend):
             assert not server._server.connections
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_connections_past_the_cap_are_refused(server_backend, monkeypatch):
+    monkeypatch.setattr(wire, "MAX_CONNECTIONS", 2)
+    want = server_backend.score([3, 4]).logits
+    with LogitServer(server_backend) as server, RemoteBackend(*server.address, timeout=5) as kept:
+        with RemoteBackend(*server.address, timeout=5) as closed:
+            with pytest.raises(TransportError, match="too_many_connections"):
+                RemoteBackend(*server.address, timeout=5)
+            for rb in (kept, closed):  # the two admitted are still served
+                assert np.array_equal(rb.score([3, 4]).logits, want)
+        # once one has closed and its handler has ended, a new client is served
+        deadline = time.monotonic() + 5
+        while len(server._server.connections) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with RemoteBackend(*server.address, timeout=5) as rb:
+            assert np.array_equal(rb.score([3, 4]).logits, want)
 
 
 MALFORMED_SCORE_REPLIES = {  # each made from a good full-vector reply
