@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .anchoring import AnchoringConfig, parse_markup
+from .anchoring import DEFAULT_CLOSE, DEFAULT_OPEN, AnchoringConfig, parse_markup
 from .attention_analysis import (
     dilution_curve,
     gradient_attention,
@@ -22,7 +22,7 @@ from .attention_analysis import (
 )
 from .decoding import DecodeLimits, anchored_decode, export_trace
 from .errors import AnchorError
-from .harness import evaluate, load_corpus
+from .harness import DEFAULT_TIMEOUT_MS, evaluate, load_corpus
 from .toy_model import ToyBackend, ToyModelConfig
 from .tuning import TuneSpec, default_grid, grid_search
 from .vocab import VocabSpec
@@ -85,8 +85,8 @@ def _add_anchoring_flags(p):
     p.add_argument("--omega", type=float, default=None, help="anchoring strength (fixed mode)")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="strength coefficient (confidence mode)")
     p.add_argument("--top-k", type=int, default=None, help="combine only the top-k original logits")
-    p.add_argument("--anchor-open", default="⟦")
-    p.add_argument("--anchor-close", default="⟧")
+    p.add_argument("--anchor-open", default=DEFAULT_OPEN)
+    p.add_argument("--anchor-close", default=DEFAULT_CLOSE)
 
 
 def build_parser() -> _Parser:
@@ -114,7 +114,7 @@ def build_parser() -> _Parser:
     t.add_argument("--no-early-exit", action="store_true")
     t.add_argument("--invert-folds", action="store_true", help="tune on k-1 folds instead of 1")
     t.add_argument("--max-new", type=int, default=32)
-    t.add_argument("--timeout-ms", type=int, default=5000)
+    t.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
     t.add_argument("--out", help="write the tune report JSON here")
     t.add_argument("--json", action="store_true")
 
@@ -126,7 +126,7 @@ def build_parser() -> _Parser:
     e.add_argument("--corpus", required=True)
     e.add_argument("--beam", type=int, default=None, help="beam width for Pass@k")
     e.add_argument("--max-new", type=int, default=32)
-    e.add_argument("--timeout-ms", type=int, default=5000)
+    e.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
     e.add_argument("--workers", type=int, default=1)
     e.add_argument("--out", help="write the report JSON here")
     e.add_argument("--csv", help="write the per-task CSV summary here")
@@ -168,6 +168,14 @@ def build_parser() -> _Parser:
 def _output(path):
     """Context manager for an output: the file at ``path``, or stdout without one."""
     return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+
+
+def _emit(args, report, lines) -> None:
+    """Write the report JSON to --out, then print it under --json, else the text ``lines``."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fp:
+            fp.write(report.to_json())
+    print(report.to_json() if args.json else "\n".join(lines))
 
 
 def _decode_prompt(args, backend, want_attention: bool):
@@ -226,15 +234,9 @@ def _cmd_tune(args, backend) -> int:
         return report.pass_at_1
 
     report = grid_search(evaluator, sorted(by_id), spec)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(report.to_json())
-    if args.json:
-        print(report.to_json())
-    else:
-        for f in report.folds:
-            print(f"fold {f.fold}: best omega {f.best_omega:.2f}, holdout pass@1 {f.holdout_pass1:.3f}")
-        print(f"recommended omega: {report.recommended:.2f} (variance {report.variance:.4f})")
+    lines = [f"fold {f.fold}: best omega {f.best_omega:.2f}, holdout pass@1 {f.holdout_pass1:.3f}"
+             for f in report.folds]
+    _emit(args, report, lines + [f"recommended omega: {report.recommended:.2f} (variance {report.variance:.4f})"])
     return 0
 
 
@@ -252,22 +254,12 @@ def _cmd_eval(args, backend) -> int:
         open_delim=args.anchor_open,
         close_delim=args.anchor_close,
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(report.to_json())
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fp:
             report.write_csv(fp)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(f"pass@1: {report.pass_at_1:.3f}")
-        for k, v in sorted(report.pass_at_k.items()):
-            if k != 1:
-                print(f"pass@{k}: {v:.3f}")
-        for name in ("Short", "Medium", "Long"):
-            if name in report.bucket_pass1:
-                print(f"{name}: {report.bucket_pass1[name]:.3f} (n={report.bucket_counts[name]})")
+    lines = [f"pass@{k}: {v:.3f}" for k, v in sorted(report.pass_at_k.items())]
+    lines += [f"{name}: {p:.3f} (n={report.bucket_counts[name]})" for name, p in report.bucket_pass1.items()]
+    _emit(args, report, lines)
     return 0
 
 

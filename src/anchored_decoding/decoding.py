@@ -89,29 +89,31 @@ def _score_step(backend, context, resolution, config, want_attention: bool = Fal
     """Score one step: the original pass and, with a config, the masked pass
     (anchored prompt positions replaced by the mask token through
     ``mask_positions``) combined into augmented logits. Returns (original
-    result, masked logits, augmented logits); the last two are None without
-    a config. A TransportError becomes a DecodeError."""
+    result, masked logits, augmented logits, original top-k ids); the last
+    three are None without a config, the ids also without config.top_k. A
+    TransportError becomes a DecodeError."""
     try:
         orig = backend.score(context, want_attention=want_attention)
         if config is None:
-            return orig, None, None
+            return orig, None, None, None
         masked = backend.score(context, mask_positions=resolution.token_positions).logits
     except TransportError as exc:
         raise DecodeError(str(exc)) from exc
+    top_ids = None if config.top_k is None else top_k_pairs(orig.logits, config.top_k)[0]
     if config.mode == "confidence":
-        return orig, masked, combine_confidence(orig.logits, masked, config.lam)
-    return orig, masked, combine_fixed(orig.logits, masked, config.omega)
+        return orig, masked, combine_confidence(orig.logits, masked, config.lam), top_ids
+    return orig, masked, combine_fixed(orig.logits, masked, config.omega), top_ids
 
 
-def _candidates(original: np.ndarray, augmented, config, n: int) -> np.ndarray:
+def _candidates(original: np.ndarray, augmented, top_ids, n: int) -> np.ndarray:
     """The candidate rule of every decoder, on the full vectors every backend
     returns: the n best ids of the augmented logits (of the original ones
-    without a config), best first, ties to the lowest id. config.top_k is
-    applied here only: just the original top-k ids are eligible, so fewer
-    than n may come back."""
-    if config is None or config.top_k is None:
+    without a config), best first, ties to the lowest id. With top_ids (the
+    original top-k ids under config.top_k) just those ids are eligible, so
+    fewer than n may come back."""
+    if top_ids is None:
         return top_k_pairs(original if augmented is None else augmented, n)[0]
-    ids = np.sort(top_k_pairs(original, config.top_k)[0])
+    ids = np.sort(top_ids)
     return ids[top_k_pairs(augmented[ids], min(n, len(ids)))[0]]
 
 
@@ -126,16 +128,15 @@ def _decode(backend, prompt_tokens, resolution, config, limits, want_attention) 
             break
         t0 = time.perf_counter()
         try:
-            orig, masked, aug = _score_step(backend, context, resolution, config, want_attention)
+            orig, masked, aug, top_ids = _score_step(backend, context, resolution, config, want_attention)
         except DecodeError as exc:
             trace.finished_reason = "transport_error"
             exc.partial_trace = trace
             raise
-        token = int(_candidates(orig.logits, aug, config, 1)[0])
+        token = int(_candidates(orig.logits, aug, top_ids, 1)[0])
         stored = (orig.logits, masked, aug)
-        if config is not None and config.top_k is not None:
-            ids, _ = top_k_pairs(orig.logits, config.top_k)
-            stored = [list(zip(ids.tolist(), v[ids].tolist())) for v in stored]
+        if top_ids is not None:
+            stored = [list(zip(top_ids.tolist(), v[top_ids].tolist())) for v in stored]
         trace.wall_times.append(time.perf_counter() - t0)
         trace.steps.append((token, StepScore(*stored, attention_row=orig.attention)))
         context.append(token)
@@ -186,9 +187,10 @@ def beam_search_anchored(
     a path, so a prefix's score bounds all of its completions and the first
     beam_width terminal sequences popped are exactly the beam_width best of
     the candidate-filtered search tree (the same set an exhaustive
-    enumeration under the per-step candidate rule would rank on top). Ties
-    break to the lexicographically smallest token sequence. Cost grows with
-    beam width and sequence length; widths here are small (Pass@k scale).
+    enumeration under the per-step candidate rule would rank on top), best
+    first as popped (a child's key is never below its parent's), ties to the
+    lexicographically smallest token sequence. Cost grows with beam width
+    and sequence length; widths here are small (Pass@k scale).
     A TransportError aborts with a DecodeError (no partial trace).
     """
     import heapq
@@ -212,14 +214,13 @@ def beam_search_anchored(
         if terminal:
             results.append(BeamCandidate(tokens, score, finished))
             continue
-        orig, _, aug = _score_step(backend, context, resolution, config)
+        orig, _, aug, top_ids = _score_step(backend, context, resolution, config)
         logp = np.log(softmax(orig.logits))
-        for tid in _candidates(orig.logits, aug, config, beam_width).tolist():
+        for tid in _candidates(orig.logits, aug, top_ids, beam_width).tolist():
             heapq.heappush(
                 heap,
                 (-(score + float(logp[tid])), tokens + (tid,), tid in stop_ids),
             )
-    results.sort(key=lambda b: (-b.score, b.tokens))
     return results
 
 
@@ -237,7 +238,7 @@ def measure_overhead(backend, prompt: PromptSpec, config: AnchoringConfig, limit
     """Run baseline and anchored decodes on the same prompt and report
     throughput. Where the config applies, the anchored loop issues exactly
     two score() calls per emitted token against the baseline's one."""
-    prompt_tokens, _, _ = _prepare(backend, prompt, config)
+    prompt_tokens, resolution, _ = _prepare(backend, prompt, config)
 
     counting = CountingBackend(backend)
     t0 = time.perf_counter()
@@ -247,7 +248,7 @@ def measure_overhead(backend, prompt: PromptSpec, config: AnchoringConfig, limit
 
     counting = CountingBackend(backend)
     t0 = time.perf_counter()
-    anch = anchored_decode(counting, prompt, config, limits)
+    anch = anchored_decode(counting, (prompt_tokens, resolution), config, limits)
     anch_secs = time.perf_counter() - t0
 
     return OverheadReport(

@@ -6,19 +6,20 @@ from __future__ import annotations
 import csv
 import json
 import os
-import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .anchoring import AnchoringConfig, parse_markup, resolve_anchors
+from .anchoring import DEFAULT_CLOSE, DEFAULT_OPEN, AnchoringConfig, parse_markup, resolve_anchors
 from .decoding import DecodeLimits, anchored_decode, beam_search_anchored, greedy_decode
 
 SANDBOX_ENV_VAR = "ANCHOR_SANDBOX_DIR"
+DEFAULT_TIMEOUT_MS = 5000  # per test command
 
 _TASK_FIELDS = {"id", "prompt", "tests", "entry_check", "difficulty"}
 
@@ -203,7 +204,7 @@ def run_toy_program(program: str, inp: str) -> str:
 # -- sandboxed execution -----------------------------------------------------
 
 
-def run_tests(program_text: str, task: Task, timeout_ms: int = 5000) -> TestResult:
+def run_tests(program_text: str, task: Task, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> TestResult:
     """Run a task's checks against a candidate program.
 
     Toy tasks (entry_check present) use the built-in evaluator. Command
@@ -224,8 +225,8 @@ def run_tests(program_text: str, task: Task, timeout_ms: int = 5000) -> TestResu
                 TestOutcome(got == expected, got, None, time.perf_counter() - t0)
             )
     for test in task.tests:
-        sandbox = tempfile.mkdtemp(prefix="anchor-", dir=os.environ.get(SANDBOX_ENV_VAR))
-        try:
+        parent = os.environ.get(SANDBOX_ENV_VAR)
+        with tempfile.TemporaryDirectory(prefix="anchor-", dir=parent, ignore_cleanup_errors=True) as sandbox:
             filename = test.get("file", "solution.txt")
             with open(os.path.join(sandbox, filename), "w", encoding="utf-8") as fp:
                 fp.write(program_text)
@@ -244,8 +245,6 @@ def run_tests(program_text: str, task: Task, timeout_ms: int = 5000) -> TestResu
                     timed_out = True
             output = (out + err).decode(errors="replace")
             outcomes.append(TestOutcome(status == 0, output, status, time.perf_counter() - t0))
-        finally:
-            shutil.rmtree(sandbox, ignore_errors=True)
     passed = bool(outcomes) and all(o.passed for o in outcomes) and not timed_out
     return TestResult(passed, tuple(outcomes), timed_out)
 
@@ -300,10 +299,10 @@ def evaluate(
     config: AnchoringConfig,
     limits: DecodeLimits,
     beam_k: int | None = None,
-    timeout_ms: int = 5000,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
     workers: int = 1,
-    open_delim: str = "⟦",
-    close_delim: str = "⟧",
+    open_delim: str = DEFAULT_OPEN,
+    close_delim: str = DEFAULT_CLOSE,
 ) -> EvalReport:
     """Evaluate a corpus under the configured activation policy.
 
@@ -315,14 +314,17 @@ def evaluate(
     over the beam candidates (a plain beam search where anchoring does not
     apply).
 
-    beam_k, config.top_k, timeout_ms and workers are checked before the
-    first task. Each prompt is resolved once; a prompt that fails to parse
-    or tokenize is an error in its task's record, and that task is left out
-    of the length buckets.
+    Task ids (none may repeat), beam_k, config.top_k, timeout_ms and workers
+    are checked before the first task; tasks run on a pool of ``workers``
+    threads. Each prompt is resolved once; one that fails to parse or
+    tokenize is its task's error, and that task is left out of the buckets.
     """
     corpus = list(corpus)
     if not corpus:
         raise ValueError("empty corpus")
+    repeated = [task_id for task_id, n in Counter(t.id for t in corpus).items() if n > 1]
+    if repeated:
+        raise ValueError(f"duplicate task ids: {repeated}")
     if beam_k is not None and not (1 <= beam_k <= backend.vocab.size):
         raise ValueError(f"beam_k must be in 1..{backend.vocab.size}")
     if config.top_k is not None and config.top_k > backend.vocab.size:
@@ -332,26 +334,26 @@ def evaluate(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t_start = time.perf_counter()
-    prompt_lengths: dict[str, int] = {}  # task id -> prompt token count
 
-    def eval_task(task: Task) -> TaskRecord:
+    def eval_task(task: Task) -> tuple[TaskRecord, int | None]:
         def passes(tokens) -> bool:
             return run_tests(backend.vocab.detokenize(tokens), task, timeout_ms).passed
 
+        n_prompt = None  # returned with the record: the prompt token count, once the prompt resolves
         try:
             spec = parse_markup(task.prompt, open_delim, close_delim)
             prompt_tokens, resolution = prompt = resolve_anchors(spec, backend.vocab)
-            prompt_lengths[task.id] = len(prompt_tokens)
+            n_prompt = len(prompt_tokens)
             if beam_k is not None:
                 candidates = beam_search_anchored(backend, prompt, config, beam_k, limits)
                 outcomes = [passes(c.tokens) for c in candidates]
                 gen_len = len(candidates[0].tokens) if candidates else 0
-                return TaskRecord(task.id, None, None, any(outcomes[:1]), outcomes, gen_len)
+                return TaskRecord(task.id, None, None, any(outcomes[:1]), outcomes, gen_len), n_prompt
             anchor = config.applies_to(resolution)
             if anchor and config.activation == "always":
                 trace = anchored_decode(backend, prompt, config, limits)
                 passed = passes(trace.generated_tokens)
-                return TaskRecord(task.id, None, passed, passed, [passed], len(trace.steps))
+                return TaskRecord(task.id, None, passed, passed, [passed], len(trace.steps)), n_prompt
             base_trace = greedy_decode(backend, prompt_tokens, limits)
             base_passed = passes(base_trace.generated_tokens)
             anchored_passed = None
@@ -363,16 +365,13 @@ def evaluate(
                 if anchored_passed:
                     final = True
                     gen_len = len(trace.steps)
-            return TaskRecord(task.id, base_passed, anchored_passed, final, [final], gen_len)
+            return TaskRecord(task.id, base_passed, anchored_passed, final, [final], gen_len), n_prompt
         except Exception as exc:  # per-task failures never abort the run
-            return TaskRecord(task.id, None, None, False, [False], 0, error=str(exc))
+            return TaskRecord(task.id, None, None, False, [False], 0, error=str(exc)), n_prompt
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(eval_task, corpus))
-    else:
-        records = [eval_task(t) for t in corpus]
-    records.sort(key=lambda r: r.task_id)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(eval_task, corpus))  # corpus order
+    records = sorted((r for r, _ in results), key=lambda r: r.task_id)
 
     outcome_matrix = [r.candidate_outcomes for r in records]
     p1 = pass_at_k(outcome_matrix, 1)
@@ -382,7 +381,7 @@ def evaluate(
 
     bucket_pass1: dict[str, float] = {}
     bucket_counts: dict[str, int] = {}
-    lengths = {t.id: prompt_lengths[t.id] for t in corpus if t.id in prompt_lengths}
+    lengths = {r.task_id: n for r, n in results if n is not None}
     if len(lengths) >= 3:
         by_id = {r.task_id: r for r in records}
         for name, ids in bucket_by_length(lengths).items():

@@ -24,6 +24,7 @@ from .vocab import VocabSpec
 PROTOCOL_VERSION = 1
 MAX_REQUEST_BYTES = 1 << 20  # longest request line, newline included; holds well over 100k token ids
 MAX_CONNECTIONS = 64  # open connections, each with its handler thread; one more is refused
+IDLE_TIMEOUT_S = 300.0  # a connection idle this long is closed; well above a task's tests, run between two scores
 # how often serve_forever checks for stop(); at the 0.5 s default each stop() would wait that long
 _POLL_INTERVAL = 0.05
 
@@ -95,8 +96,10 @@ def handle_request(backend, line: str) -> dict:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    timeout = IDLE_TIMEOUT_S  # socket timeout: an idle client cannot hold a connection slot for good
+
     def handle(self):
-        with contextlib.suppress(ConnectionError):  # the client reset, or stop() ended the connection
+        with contextlib.suppress(ConnectionError, TimeoutError):  # a reset, stop(), or the client sat idle
             while raw := self.rfile.readline(MAX_REQUEST_BYTES + 1):
                 if len(raw) > MAX_REQUEST_BYTES:  # the rest of the line cannot be resynchronised: close
                     self._send(_error("bad_request", f"request line longer than {MAX_REQUEST_BYTES} bytes"))

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import time
 
 import numpy as np
@@ -184,7 +185,19 @@ def test_run_tests_timeout():
     assert result.timed_out and not result.passed
 
 
-def test_run_tests_timeout_kills_background_processes(tmp_path):
+@pytest.mark.parametrize(
+    "own_group",
+    [
+        pytest.param(
+            {"process_group": 0},
+            marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="Popen(process_group=) needs Python 3.11"),
+            id="process_group",
+        ),
+        pytest.param({"preexec_fn": os.setpgrp}, id="preexec_fn"),
+    ],
+)
+def test_run_tests_timeout_kills_background_processes(tmp_path, monkeypatch, own_group):
+    monkeypatch.setattr(harness, "_OWN_GROUP", own_group)  # both forms, whatever this interpreter picks
     pid_file = tmp_path / "pid"
     cmd = f"sleep 5 & echo $! > {pid_file}; wait"
     task = Task(id="t", prompt="p", tests=({"cmd": cmd, "file": "s.txt"},))
@@ -223,6 +236,8 @@ def test_sandbox_hygiene(tmp_path):
     try:
         task = Task(id="t", prompt="p", tests=({"cmd": "touch scratch.txt", "file": "s.txt"},))
         assert run_tests("x", task).passed
+        slow = Task(id="t", prompt="p", tests=({"cmd": "touch scratch.txt; sleep 2", "file": "s.txt"},))
+        assert run_tests("x", slow, timeout_ms=200).timed_out  # its sandbox goes too
     finally:
         del os.environ["ANCHOR_SANDBOX_DIR"]
     assert os.getcwd() == cwd
@@ -434,6 +449,8 @@ def test_evaluate_checks_run_inputs_before_any_task(backend, monkeypatch):
             evaluate(counting, corpus, FIXED, LIMITS, **bad)
     with pytest.raises(ValueError, match="top_k"):
         evaluate(counting, corpus, AnchoringConfig(mode="fixed", omega=1.25, top_k=backend.vocab.size + 1), LIMITS)
+    with pytest.raises(ValueError, match="duplicate task ids"):  # 4 tasks, 3 ids
+        evaluate(counting, corpus + [make_task("t1", "abcd", "d")], FIXED, LIMITS)
     assert counting.calls == 0
     assert calls["parse_markup"] == 0  # no task started
 
@@ -474,6 +491,12 @@ def test_evaluate_workers_order_independent(backend):
     parallel = evaluate(backend, corpus, FIXED, LIMITS, workers=4)
     assert [r.task_id for r in parallel.records] == [r.task_id for r in serial.records]
     assert [r.final_passed for r in parallel.records] == [r.final_passed for r in serial.records]
+    for workers in (2, 4):  # the whole report, not only ids and outcomes
+        report = evaluate(backend, corpus, FIXED, LIMITS, workers=workers)
+        assert report.records == serial.records
+        assert report.pass_at_k == serial.pass_at_k
+        assert report.bucket_counts == serial.bucket_counts and sum(report.bucket_counts.values()) == 8
+        assert report.bucket_pass1 == serial.bucket_pass1
 
 
 def test_report_json_and_csv(backend, tmp_path):

@@ -338,7 +338,7 @@ def test_server_forgets_closed_connections(server_backend):
         sys.setswitchinterval(interval)
 
 
-def test_connections_past_the_cap_are_refused(server_backend, monkeypatch):
+def test_connections_past_the_cap_are_refused(server_backend, monkeypatch, capsys):
     monkeypatch.setattr(wire, "MAX_CONNECTIONS", 2)
     want = server_backend.score([3, 4]).logits
     with LogitServer(server_backend) as server, RemoteBackend(*server.address, timeout=5) as kept:
@@ -353,6 +353,22 @@ def test_connections_past_the_cap_are_refused(server_backend, monkeypatch):
             time.sleep(0.01)
         with RemoteBackend(*server.address, timeout=5) as rb:
             assert np.array_equal(rb.score([3, 4]).logits, want)
+    # idle clients do not hold the slots for good: their connections time out, quietly
+    assert wire._Handler.timeout == wire.IDLE_TIMEOUT_S
+    monkeypatch.setattr(wire._Handler, "timeout", 0.3)
+    with LogitServer(server_backend) as server:
+        with RemoteBackend(*server.address, timeout=5) as idle, RemoteBackend(*server.address, timeout=5):
+            with pytest.raises(TransportError, match="too_many_connections"):
+                RemoteBackend(*server.address, timeout=5)
+            deadline = time.monotonic() + 5
+            while server._server.connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._server.connections
+            with pytest.raises(TransportError):  # as after stop()
+                idle.score([3, 4])
+            with RemoteBackend(*server.address, timeout=5) as rb:
+                assert np.array_equal(rb.score([3, 4]).logits, want)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 MALFORMED_SCORE_REPLIES = {  # each made from a good full-vector reply
