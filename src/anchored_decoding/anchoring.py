@@ -89,9 +89,16 @@ class AnchorResolution:
 # -- markup ------------------------------------------------------------------
 
 
+def check_delimiters(open_delim: str, close_delim: str) -> None:
+    """An empty delimiter matches everywhere without advancing, and equal ones could never close a span."""
+    if not open_delim or not close_delim or open_delim == close_delim:
+        raise ValueError(f"anchor delimiters must be non-empty and differ, got {open_delim!r} and {close_delim!r}")
+
+
 def parse_markup(text: str, open_delim: str = DEFAULT_OPEN, close_delim: str = DEFAULT_CLOSE) -> PromptSpec:
-    """Parse anchor markup: spans between the delimiters are anchored; a
-    doubled delimiter escapes to the literal character."""
+    """Parse anchor markup: spans between the delimiters (check_delimiters)
+    are anchored; a doubled delimiter escapes to the literal character."""
+    check_delimiters(open_delim, close_delim)
     segments: list[tuple[str, bool]] = []
     buf: list[str] = []
     anchored = False

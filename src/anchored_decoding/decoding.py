@@ -1,10 +1,11 @@
-"""Autoregressive decoding: baseline greedy and anchored greedy share one
-token loop, and the hybrid anchored beam search (candidates from augmented
-logits, beam scores from original probabilities) shares its prompt
-resolution, its per-step scoring and its candidate rule."""
+"""Autoregressive decoding: one best-first search is the only decode loop.
+The hybrid anchored beam search (candidates from augmented logits, beam
+scores from original probabilities) runs it at the beam width; baseline
+greedy and anchored greedy decoding are its width-1 case."""
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
 from dataclasses import dataclass
@@ -117,33 +118,60 @@ def _candidates(original: np.ndarray, augmented, top_ids, n: int) -> np.ndarray:
     return ids[top_k_pairs(augmented[ids], min(n, len(ids)))[0]]
 
 
-def _decode(backend, prompt_tokens, resolution, config, limits, want_attention) -> GenerationTrace:
-    """Token loop of greedy_decode (config None) and anchored_decode; each step
-    is stored as StepScore says. A DecodeError from the scoring step carries
-    the steps completed so far."""
-    context = list(prompt_tokens)
-    trace = GenerationTrace(list(prompt_tokens), resolution, [], "length_limit", [])
-    for _ in range(limits.max_new_tokens):
-        if len(context) >= backend.max_positions:
-            break
+def _search(backend, prompt_tokens, resolution, config, limits, width, want_attention=False):
+    """The one decode loop, a best-first search: greedy and anchored decoding
+    run it at width 1, the beam at beam_width. A path ends on a stop token, at
+    max_new_tokens or at max_positions. Each expanded prefix is scored once;
+    its children are the candidate rule's ``width`` best ids, each scored by
+    the log of its ORIGINAL softmax probability, so amplified-but-noisy
+    low-rank logits widen the search without corrupting the ranking.
+
+    Log-probabilities only decrease along a path, so a prefix's score bounds
+    all of its completions and the first ``width`` paths to end are exactly
+    the ``width`` best of the candidate-filtered search tree (the same set an
+    exhaustive enumeration under the per-step candidate rule would rank on
+    top), best first as popped (a child's key is never below its parent's),
+    ties to the lexicographically smallest token sequence. Cost grows with
+    width and sequence length; widths here are small (Pass@k scale).
+    Returns those paths as (score, tokens, finished, steps), each step a
+    (token, StepScore, seconds); a DecodeError carries the trace of the path
+    being expanded."""
+    heap = [(0.0, (), False, ())]  # (-score, tokens, finished, steps)
+    paths = []
+    while heap and len(paths) < width:
+        neg_score, tokens, finished, steps = heapq.heappop(heap)
+        score = -neg_score
+        context = prompt_tokens + list(tokens)
+        if finished or len(tokens) >= limits.max_new_tokens or len(context) >= backend.max_positions:
+            paths.append((score, tokens, finished, steps))
+            continue
         t0 = time.perf_counter()
         try:
             orig, masked, aug, top_ids = _score_step(backend, context, resolution, config, want_attention)
         except DecodeError as exc:
-            trace.finished_reason = "transport_error"
-            exc.partial_trace = trace
+            exc.partial_trace = _trace(prompt_tokens, resolution, steps, "transport_error")
             raise
-        token = int(_candidates(orig.logits, aug, top_ids, 1)[0])
+        children = _candidates(orig.logits, aug, top_ids, width).tolist()
         stored = (orig.logits, masked, aug)
         if top_ids is not None:
             stored = [list(zip(top_ids.tolist(), v[top_ids].tolist())) for v in stored]
-        trace.wall_times.append(time.perf_counter() - t0)
-        trace.steps.append((token, StepScore(*stored, attention_row=orig.attention)))
-        context.append(token)
-        if token in backend.vocab.stop_ids:
-            trace.finished_reason = "stop_token"
-            break
-    return trace
+        step = StepScore(*stored, attention_row=orig.attention)
+        seconds = time.perf_counter() - t0
+        logp = np.log(softmax(orig.logits))
+        for tid in children:
+            path = steps + ((tid, step, seconds),)
+            heapq.heappush(heap, (-(score + float(logp[tid])), tokens + (tid,), tid in backend.vocab.stop_ids, path))
+    return paths
+
+
+def _trace(prompt_tokens, resolution, steps, reason) -> GenerationTrace:
+    return GenerationTrace(list(prompt_tokens), resolution, [s[:2] for s in steps], reason, [s[2] for s in steps])
+
+
+def _decode(backend, prompt_tokens, resolution, config, limits, want_attention) -> GenerationTrace:
+    """greedy_decode (config None) and anchored_decode: the search's one path at width 1, as a trace."""
+    [(_, _, finished, steps)] = _search(backend, list(prompt_tokens), resolution, config, limits, 1, want_attention)
+    return _trace(prompt_tokens, resolution, steps, "stop_token" if finished else "length_limit")
 
 
 def greedy_decode(backend, prompt_tokens, limits: DecodeLimits, want_attention: bool = False) -> GenerationTrace:
@@ -176,52 +204,22 @@ def beam_search_anchored(
     beam_width: int,
     limits: DecodeLimits,
 ) -> list[BeamCandidate]:
-    """Hybrid beam search: candidate tokens come from the AUGMENTED logits
-    (top beam_width per expanded prefix, under the same top_k rule as
-    anchored_decode) while every extension is scored by the log of its
-    ORIGINAL softmax probability, so amplified-but-noisy low-rank logits
-    widen the search without corrupting the ranking. With mode off or no
+    """Hybrid beam search: the search at beam_width. Candidate tokens come
+    from the AUGMENTED logits (top beam_width per expanded prefix, under the
+    same top_k rule as anchored_decode) while every extension is scored by
+    the log of its ORIGINAL softmax probability. With mode off or no
     anchored tokens it is a plain beam search over the original logits.
-
-    Prefixes are expanded best-first. Log-probabilities only decrease along
-    a path, so a prefix's score bounds all of its completions and the first
-    beam_width terminal sequences popped are exactly the beam_width best of
-    the candidate-filtered search tree (the same set an exhaustive
-    enumeration under the per-step candidate rule would rank on top), best
-    first as popped (a child's key is never below its parent's), ties to the
-    lexicographically smallest token sequence. Cost grows with beam width
-    and sequence length; widths here are small (Pass@k scale).
     A TransportError aborts with a DecodeError (no partial trace).
     """
-    import heapq
-
     if not (1 <= beam_width <= backend.vocab.size):
         raise ValueError("beam_width out of range")
     prompt_tokens, resolution, config = _prepare(backend, prompt, config)
-    stop_ids = backend.vocab.stop_ids
-
-    heap: list[tuple[float, tuple[int, ...], bool]] = [(0.0, (), False)]
-    results: list[BeamCandidate] = []
-    while heap and len(results) < beam_width:
-        neg_score, tokens, finished = heapq.heappop(heap)
-        score = -neg_score
-        context = prompt_tokens + list(tokens)
-        terminal = (
-            finished
-            or len(tokens) >= limits.max_new_tokens
-            or len(context) >= backend.max_positions
-        )
-        if terminal:
-            results.append(BeamCandidate(tokens, score, finished))
-            continue
-        orig, _, aug, top_ids = _score_step(backend, context, resolution, config)
-        logp = np.log(softmax(orig.logits))
-        for tid in _candidates(orig.logits, aug, top_ids, beam_width).tolist():
-            heapq.heappush(
-                heap,
-                (-(score + float(logp[tid])), tokens + (tid,), tid in stop_ids),
-            )
-    return results
+    try:
+        paths = _search(backend, prompt_tokens, resolution, config, limits, beam_width)
+    except DecodeError as exc:
+        exc.partial_trace = None  # a beam has no single partial path to report
+        raise
+    return [BeamCandidate(tokens, score, finished) for score, tokens, finished, _ in paths]
 
 
 @dataclass(frozen=True)

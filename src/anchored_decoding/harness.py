@@ -15,7 +15,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .anchoring import DEFAULT_CLOSE, DEFAULT_OPEN, AnchoringConfig, parse_markup, resolve_anchors
+from .anchoring import DEFAULT_CLOSE, DEFAULT_OPEN, AnchoringConfig, check_delimiters, parse_markup, resolve_anchors
 from .decoding import DecodeLimits, anchored_decode, beam_search_anchored, greedy_decode
 
 SANDBOX_ENV_VAR = "ANCHOR_SANDBOX_DIR"
@@ -39,6 +39,10 @@ class Task:
     difficulty: str | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.id, str) and isinstance(self.prompt, str)):
+            raise ValueError(f"task {self.id!r}: id and prompt must be strings")
+        if not isinstance(self.difficulty, (str, type(None))):
+            raise ValueError(f"task {self.id!r}: difficulty must be a string or null")
         if not self.tests and not self.entry_check:
             raise ValueError(f"task {self.id!r} has neither tests nor entry_check")
         for i, test in enumerate(self.tests):
@@ -128,9 +132,11 @@ def task_from_dict(obj: dict) -> Task:
     if "id" not in obj or "prompt" not in obj:
         raise ValueError("task needs id and prompt")
     entry_check = obj.get("entry_check") or []
+    if not all(isinstance(p, dict) and p.keys() == {"in", "out"} for p in entry_check):
+        raise ValueError(f"task {obj['id']!r}: each entry_check entry must be an object with exactly in and out")
     return Task(
-        id=str(obj["id"]),
-        prompt=str(obj["prompt"]),
+        id=obj["id"],
+        prompt=obj["prompt"],
         tests=tuple(obj.get("tests") or []),
         entry_check=tuple((p["in"], p["out"]) for p in entry_check),
         difficulty=obj.get("difficulty"),
@@ -158,7 +164,7 @@ def load_corpus(path) -> list[Task]:
                 continue
             try:
                 task = task_from_dict(json.loads(line))
-            except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if task.id in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate task id {task.id!r}")
@@ -314,9 +320,9 @@ def evaluate(
     over the beam candidates (a plain beam search where anchoring does not
     apply).
 
-    Task ids (none may repeat), beam_k, config.top_k, timeout_ms and workers
-    are checked before the first task; tasks run on a pool of ``workers``
-    threads. Each prompt is resolved once; one that fails to parse or
+    Task ids (none may repeat), beam_k, config.top_k, timeout_ms, workers and
+    the delimiters are checked before the first task; tasks run on a pool of
+    ``workers`` threads. Each prompt is resolved once; one that fails to parse or
     tokenize is its task's error, and that task is left out of the buckets.
     """
     corpus = list(corpus)
@@ -333,6 +339,7 @@ def evaluate(
         raise ValueError("timeout must be >= 1 ms")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    check_delimiters(open_delim, close_delim)
     t_start = time.perf_counter()
 
     def eval_task(task: Task) -> tuple[TaskRecord, int | None]:

@@ -224,6 +224,8 @@ class RemoteBackend:
                 raw = self._file.readline()
         except OSError as exc:
             raise TransportError(f"transport failure: {exc}") from exc
+        except ValueError as exc:  # I/O on the file close() closed; there is no reconnect
+            raise TransportError(f"connection closed by close(): {exc}") from exc
         if not raw:
             raise TransportError("server closed the connection")
         try:

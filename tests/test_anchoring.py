@@ -35,6 +35,11 @@ def test_parse_markup_escaping():
 def test_parse_markup_custom_delims():
     spec = parse_markup("a[b]c", "[", "]")
     assert spec.segments == (("a", False), ("b", True), ("c", False))
+    # an empty delimiter matched everywhere without advancing (a hang), and
+    # equal delimiters could never close a span
+    for text, open_delim, close_delim in (("ab", "", "⟧"), ("ab", "⟦", ""), ("ab", "", ""), ("a|b|c", "|", "|")):
+        with pytest.raises(ValueError, match="non-empty and differ"):
+            parse_markup(text, open_delim, close_delim)
 
 
 def test_parse_markup_unbalanced():

@@ -134,6 +134,15 @@ def test_eval_top_k_above_vocab_exits_before_any_task(capsys, tmp_path):
     assert code == 2 and out == "" and "top_k must be in 1..16" in err
 
 
+def test_bad_delimiters_exit_before_any_task(capsys, tmp_path):
+    corpus = str(eval_corpus(tmp_path))
+    for flags in (["--anchor-open", ""], ["--anchor-close", ""], ["--anchor-open", "|", "--anchor-close", "|"]):
+        code, out, err = run_cli(capsys, "generate", "--backend", BACKEND, "--prompt", "ab", *flags)
+        assert code == 2 and out == "" and "non-empty and differ" in err
+        code, out, err = run_cli(capsys, "eval", "--backend", BACKEND, "--corpus", corpus, *flags)
+        assert code == 2 and out == "" and "non-empty and differ" in err
+
+
 def test_serve_stops_on_interrupt(capsys, monkeypatch):
     served = []
 

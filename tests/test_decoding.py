@@ -263,19 +263,40 @@ def exhaustive_hybrid(backend, prompt, config, k, limits):
 
 
 def test_beam_width_one_equals_anchored_greedy(backend):
-    prompt = parse_markup("ab⟦cd⟧")
-    config = fixed(1.25)
-    beams = beam_search_anchored(backend, prompt, config, 1, LIMITS)
-    trace = anchored_decode(backend, prompt, config, LIMITS)
-    assert len(beams) == 1
-    assert list(beams[0].tokens) == trace.generated_tokens
-    # score recomputation from original log-probs
-    ctx, _ = resolve_anchors(prompt, backend.vocab)
-    total = 0.0
-    for t in beams[0].tokens:
-        total += float(np.log(softmax(backend.score(ctx).logits))[t])
-        ctx.append(t)
-    assert abs(beams[0].score - total) < 1e-9
+    # greedy and anchored decoding are the search at width 1: the beam of
+    # width 1 has their tokens, is finished exactly where they stop on a stop
+    # token, and scores the original log-prob sum bit for bit
+    configs = (
+        AnchoringConfig(mode="off"),
+        fixed(1.25),
+        fixed(1.25, top_k=2),
+        AnchoringConfig(mode="confidence", lam=1.0),
+    )
+    cases = [(backend, "ab⟦cd⟧")] + [(make_backend(seed=seed), "ab⟦cd⟧") for seed in range(6)]
+    short = make_backend(seed=0, max_positions=7)  # 4 prompt tokens: the capacity ends each decode at 3
+    cases += [(short, "ab⟦cd⟧"), (backend, "ab⟦cd⟧<eos>")]  # the second prompt ends on the stop token
+    reasons = set()
+    for b, text in cases:
+        prompt = parse_markup(text)
+        for config in configs:
+            beams = beam_search_anchored(b, prompt, config, 1, LIMITS)
+            trace = anchored_decode(b, prompt, config, LIMITS)
+            assert len(beams) == 1
+            assert list(beams[0].tokens) == trace.generated_tokens
+            assert beams[0].finished == (trace.finished_reason == "stop_token")
+            reasons.add(trace.finished_reason)
+            if b is short:
+                assert len(trace.prompt_tokens) + len(trace.steps) == short.max_positions
+            if text.endswith("<eos>"):
+                assert trace.steps  # a stop token in the prompt does not end the decode
+            # score recomputation from original log-probs
+            ctx, _ = resolve_anchors(prompt, b.vocab)
+            total = 0.0
+            for t in beams[0].tokens:
+                total += float(np.log(softmax(b.score(ctx).logits))[t])
+                ctx.append(t)
+            assert beams[0].score == total
+    assert reasons == {"stop_token", "length_limit"}
 
 
 def test_beam_omega_one_uses_original_candidates(backend):

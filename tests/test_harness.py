@@ -104,6 +104,10 @@ def test_unknown_task_field_rejected():
         task_from_dict({"id": "x", "prompt": "p", "tests": [], "entry_check": None, "wat": 1})
     with pytest.raises(ValueError, match="unknown task fields: \\['meta'\\]"):
         task_from_dict({"id": "x", "prompt": "p", "tests": [{"cmd": "exit 0"}], "meta": {"n": 1}})
+    # fields are checked, never coerced: a numeric id or prompt is not its digits
+    for bad, named in (({"id": 7}, "id and prompt"), ({"prompt": 12}, "id and prompt"), ({"difficulty": 3}, "difficulty")):
+        with pytest.raises(ValueError, match=named):
+            task_from_dict({"id": "x", "prompt": "p", "entry_check": [{"in": "ab", "out": "ab"}], **bad})
 
 
 def test_task_needs_some_check():
@@ -125,6 +129,11 @@ def test_task_needs_some_check():
         {"tests": [["exit 0"]]},
         {"entry_check": [{"in": 1, "out": "a"}]},
         {"entry_check": [{"in": "a", "out": None}]},
+        {"entry_check": [{"in": "a", "out": "a", "note": "x"}]},
+        {"entry_check": [{"in": "a"}]},
+        {"entry_check": [["a", "a"]]},
+        {"prompt": 12, "tests": [{"cmd": "exit 0"}]},
+        {"difficulty": 3, "tests": [{"cmd": "exit 0"}]},
     ],
 )
 def test_malformed_tests_rejected_at_load(tmp_path, fields):
@@ -446,6 +455,9 @@ def test_evaluate_checks_run_inputs_before_any_task(backend, monkeypatch):
     counting = CountingBackend(backend)
     for bad in ({"beam_k": 0}, {"beam_k": backend.vocab.size + 1}, {"timeout_ms": 0}, {"workers": 0}, {"workers": -1}):
         with pytest.raises(ValueError):
+            evaluate(counting, corpus, FIXED, LIMITS, **bad)
+    for bad in ({"open_delim": ""}, {"close_delim": ""}, {"open_delim": "|", "close_delim": "|"}):
+        with pytest.raises(ValueError, match="non-empty and differ"):
             evaluate(counting, corpus, FIXED, LIMITS, **bad)
     with pytest.raises(ValueError, match="top_k"):
         evaluate(counting, corpus, AnchoringConfig(mode="fixed", omega=1.25, top_k=backend.vocab.size + 1), LIMITS)

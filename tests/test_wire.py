@@ -150,6 +150,13 @@ def test_every_backend_has_one_score_interface(remote, server_backend):
             backend.score([3, 5, 2], top_k=4)
     # perfbench/selftest.py still builds ScoreResult(..., ids=result.ids, ...)
     assert ScoreResult(logits=res.logits, ids=None, attention=None).ids is None
+    # a closed client cannot reconnect: its score() is a TransportError, so a
+    # decode over it is a DecodeError, not a bad-argument ValueError
+    remote.close()
+    with pytest.raises(TransportError, match="closed"):
+        remote.score([3, 5, 2])
+    with pytest.raises(DecodeError):
+        anchored_decode(remote, parse_markup("ab⟦cd⟧"), AnchoringConfig(), DecodeLimits(2))
 
 
 def test_bad_mask_index(server):
