@@ -90,9 +90,14 @@ class AnchorResolution:
 
 
 def check_delimiters(open_delim: str, close_delim: str) -> None:
-    """An empty delimiter matches everywhere without advancing, and equal ones could never close a span."""
-    if not open_delim or not close_delim or open_delim == close_delim:
-        raise ValueError(f"anchor delimiters must be non-empty and differ, got {open_delim!r} and {close_delim!r}")
+    """Neither delimiter may start with the other, which also rules out an
+    empty or repeated one: where one does, the longer one's text also reads
+    as the shorter one or its doubled escape, so a span may never close."""
+    if open_delim.startswith(close_delim) or close_delim.startswith(open_delim):
+        raise ValueError(
+            f"anchor delimiters must be non-empty and differ, and neither may start with the other,"
+            f" got {open_delim!r} and {close_delim!r}"
+        )
 
 
 def parse_markup(text: str, open_delim: str = DEFAULT_OPEN, close_delim: str = DEFAULT_CLOSE) -> PromptSpec:

@@ -24,7 +24,7 @@ from .decoding import DecodeLimits, anchored_decode, export_trace
 from .errors import AnchorError
 from .harness import DEFAULT_TIMEOUT_MS, evaluate, load_corpus
 from .toy_model import ToyBackend, ToyModelConfig
-from .tuning import TuneSpec, default_grid, grid_search
+from .tuning import TuneSpec, grid_search
 from .vocab import VocabSpec
 from .wire import LogitServer, RemoteBackend
 
@@ -108,8 +108,8 @@ def build_parser() -> _Parser:
     t.set_defaults(run=_cmd_tune)
     _add_backend_flags(t)
     t.add_argument("--corpus", required=True)
-    t.add_argument("--folds", type=int, default=5)
-    t.add_argument("--tune-seed", type=int, default=0)
+    t.add_argument("--folds", type=int, default=None)
+    t.add_argument("--tune-seed", type=int, default=None)
     t.add_argument("--grid", help="comma-separated ascending omega values (must include 1.0)")
     t.add_argument("--no-early-exit", action="store_true")
     t.add_argument("--invert-folds", action="store_true", help="tune on k-1 folds instead of 1")
@@ -214,16 +214,15 @@ def _cmd_tune(args, backend) -> int:
     corpus = load_corpus(args.corpus)
     by_id = {t.id: t for t in corpus}
     limits = DecodeLimits(args.max_new)
-    grid = tuple(default_grid())
+    given = {"folds": args.folds, "seed": args.tune_seed}
     if args.grid:
-        grid = tuple(float(x) for x in args.grid.split(","))
-    spec = TuneSpec(
-        grid=grid,
-        folds=args.folds,
-        seed=args.tune_seed,
-        early_exit=not args.no_early_exit,
-        invert=args.invert_folds,
-    )
+        given["grid"] = tuple(float(x) for x in args.grid.split(","))
+    if args.no_early_exit:
+        given["early_exit"] = False
+    if args.invert_folds:
+        given["invert"] = True
+    # only the flags given are passed, so TuneSpec holds every default
+    spec = TuneSpec(**{k: v for k, v in given.items() if v is not None})
 
     def evaluator(omega, task_ids):
         # tuning anchors every task; failure gating is an inference-time policy

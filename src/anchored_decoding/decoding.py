@@ -14,7 +14,6 @@ import numpy as np
 
 from .anchoring import (
     AnchoringConfig,
-    AnchorResolution,
     PromptSpec,
     combine_confidence,
     combine_fixed,
@@ -53,7 +52,6 @@ class StepScore:
 @dataclass
 class GenerationTrace:
     prompt_tokens: list[int]
-    resolution: AnchorResolution | None
     steps: list[tuple[int, StepScore]]
     finished_reason: str  # stop_token | length_limit | transport_error
     wall_times: list[float]
@@ -70,13 +68,24 @@ class BeamCandidate:
     finished: bool
 
 
+def check_search_args(vocab_size: int, config: AnchoringConfig, width: int) -> None:
+    """The rule for a search's inputs against the vocabulary, applied before
+    any score() call: width, and config.top_k whatever the mode, in 1..V."""
+    if not 1 <= width <= vocab_size:
+        raise ValueError(f"beam width must be in 1..{vocab_size}")
+    if config.top_k is not None and config.top_k > vocab_size:  # AnchoringConfig holds top_k >= 1
+        raise ValueError(f"top_k must be in 1..{vocab_size}")
+
+
 def _prepare(backend, prompt, config: AnchoringConfig):
-    """Prompt resolution shared by the decoders. ``prompt`` is a PromptSpec
-    (tokenized against the backend's vocabulary) or a pre-resolved
-    (prompt_tokens, AnchorResolution) pair whose prompt_length is
-    len(prompt_tokens), the form a backend without surface strings requires.
-    Returns (prompt_tokens, resolution, config), the config replaced by None
-    where it does not apply to the prompt (AnchoringConfig.applies_to)."""
+    """Input checks (check_search_args) and prompt resolution shared by the
+    decoders. ``prompt`` is a PromptSpec (tokenized against the backend's
+    vocabulary) or a pre-resolved (prompt_tokens, AnchorResolution) pair
+    whose prompt_length is len(prompt_tokens), the form a backend without
+    surface strings requires. Returns (prompt_tokens, resolution, config),
+    the config replaced by None where it does not apply to the prompt
+    (AnchoringConfig.applies_to)."""
+    check_search_args(backend.vocab.size, config, 1)
     if isinstance(prompt, PromptSpec):
         prompt_tokens, resolution = resolve_anchors(prompt, backend.vocab)
     else:
@@ -149,7 +158,7 @@ def _search(backend, prompt_tokens, resolution, config, limits, width, want_atte
         try:
             orig, masked, aug, top_ids = _score_step(backend, context, resolution, config, want_attention)
         except DecodeError as exc:
-            exc.partial_trace = _trace(prompt_tokens, resolution, steps, "transport_error")
+            exc.partial_trace = _trace(prompt_tokens, steps, "transport_error")
             raise
         children = _candidates(orig.logits, aug, top_ids, width).tolist()
         stored = (orig.logits, masked, aug)
@@ -164,14 +173,14 @@ def _search(backend, prompt_tokens, resolution, config, limits, width, want_atte
     return paths
 
 
-def _trace(prompt_tokens, resolution, steps, reason) -> GenerationTrace:
-    return GenerationTrace(list(prompt_tokens), resolution, [s[:2] for s in steps], reason, [s[2] for s in steps])
+def _trace(prompt_tokens, steps, reason) -> GenerationTrace:
+    return GenerationTrace(list(prompt_tokens), [s[:2] for s in steps], reason, [s[2] for s in steps])
 
 
 def _decode(backend, prompt_tokens, resolution, config, limits, want_attention) -> GenerationTrace:
     """greedy_decode (config None) and anchored_decode: the search's one path at width 1, as a trace."""
     [(_, _, finished, steps)] = _search(backend, list(prompt_tokens), resolution, config, limits, 1, want_attention)
-    return _trace(prompt_tokens, resolution, steps, "stop_token" if finished else "length_limit")
+    return _trace(prompt_tokens, steps, "stop_token" if finished else "length_limit")
 
 
 def greedy_decode(backend, prompt_tokens, limits: DecodeLimits, want_attention: bool = False) -> GenerationTrace:
@@ -211,8 +220,7 @@ def beam_search_anchored(
     anchored tokens it is a plain beam search over the original logits.
     A TransportError aborts with a DecodeError (no partial trace).
     """
-    if not (1 <= beam_width <= backend.vocab.size):
-        raise ValueError("beam_width out of range")
+    check_search_args(backend.vocab.size, config, beam_width)
     prompt_tokens, resolution, config = _prepare(backend, prompt, config)
     try:
         paths = _search(backend, prompt_tokens, resolution, config, limits, beam_width)
@@ -233,29 +241,24 @@ class OverheadReport:
 
 
 def measure_overhead(backend, prompt: PromptSpec, config: AnchoringConfig, limits: DecodeLimits) -> OverheadReport:
-    """Run baseline and anchored decodes on the same prompt and report
-    throughput. Where the config applies, the anchored loop issues exactly
-    two score() calls per emitted token against the baseline's one."""
+    """Run baseline and anchored decodes on the same prompt through one
+    CountingBackend and report throughput over step time: the traces'
+    wall_times, which leave out prompt resolution and trace assembly. Where
+    the config applies, the anchored loop issues exactly two score() calls
+    per emitted token against the baseline's one."""
     prompt_tokens, resolution, _ = _prepare(backend, prompt, config)
-
     counting = CountingBackend(backend)
-    t0 = time.perf_counter()
     base = greedy_decode(counting, prompt_tokens, limits)
-    base_secs = time.perf_counter() - t0
     base_calls = counting.calls
-
-    counting = CountingBackend(backend)
-    t0 = time.perf_counter()
     anch = anchored_decode(counting, (prompt_tokens, resolution), config, limits)
-    anch_secs = time.perf_counter() - t0
-
+    base_secs, anch_secs = sum(base.wall_times), sum(anch.wall_times)
     return OverheadReport(
         baseline_tokens_per_sec=len(base.steps) / base_secs if base_secs > 0 else float("inf"),
         anchored_tokens_per_sec=len(anch.steps) / anch_secs if anch_secs > 0 else float("inf"),
         baseline_tokens=len(base.steps),
         anchored_tokens=len(anch.steps),
         baseline_calls=base_calls,
-        anchored_calls=counting.calls,
+        anchored_calls=counting.calls - base_calls,
     )
 
 

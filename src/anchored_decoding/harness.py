@@ -3,6 +3,7 @@ anchor-on-failure activation policy, Pass@k, and length bucketing."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -16,14 +17,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .anchoring import DEFAULT_CLOSE, DEFAULT_OPEN, AnchoringConfig, check_delimiters, parse_markup, resolve_anchors
-from .decoding import DecodeLimits, anchored_decode, beam_search_anchored, greedy_decode
+from .decoding import DecodeLimits, anchored_decode, beam_search_anchored, check_search_args, greedy_decode
 
 SANDBOX_ENV_VAR = "ANCHOR_SANDBOX_DIR"
 DEFAULT_TIMEOUT_MS = 5000  # per test command
 
 _TASK_FIELDS = {"id", "prompt", "tests", "entry_check", "difficulty"}
+DEFAULT_TEST_FILE = "solution.txt"  # where a test without a file finds the program
 
-# Each test runs in a process group of its own, so a timeout can kill every
+# Each test runs in a process group of its own, so its end can kill every
 # process it started. A group, not a session: where the kernel groups the
 # scheduler by session (autogroup), a session per test would make and tear
 # down a scheduling group per test, which makes run times uneven.
@@ -46,9 +48,9 @@ class Task:
         if not self.tests and not self.entry_check:
             raise ValueError(f"task {self.id!r} has neither tests nor entry_check")
         for i, test in enumerate(self.tests):
-            if not isinstance(test, dict) or not isinstance(test.get("cmd"), str):
-                raise ValueError(f"task {self.id!r}: test {i} must be an object with a string cmd")
-            name = test.get("file", "solution.txt")  # written into the sandbox, so it may not leave it
+            if not (isinstance(test, dict) and isinstance(test.get("cmd"), str) and test.keys() <= {"cmd", "file"}):
+                raise ValueError(f"task {self.id!r}: test {i} must be an object with a string cmd and at most a file")
+            name = test.get("file", DEFAULT_TEST_FILE)  # written into the sandbox, so it may not leave it
             if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
                 raise ValueError(f"task {self.id!r}: test {i} file {name!r} is not a plain file name")
         for pair in self.entry_check:
@@ -61,7 +63,6 @@ class TestOutcome:
     passed: bool
     output: str
     exit_status: int | None
-    duration: float
 
 
 @dataclass(frozen=True)
@@ -131,13 +132,16 @@ def task_from_dict(obj: dict) -> Task:
         raise ValueError(f"unknown task fields: {sorted(unknown)}")
     if "id" not in obj or "prompt" not in obj:
         raise ValueError("task needs id and prompt")
-    entry_check = obj.get("entry_check") or []
+    tests, entry_check = obj.get("tests", []), obj.get("entry_check")  # task_to_dict writes a null entry_check
+    if not isinstance(tests, list) or not isinstance(entry_check, (list, type(None))):
+        raise ValueError(f"task {obj['id']!r}: tests must be a list, and entry_check a list or null")
+    entry_check = entry_check or []
     if not all(isinstance(p, dict) and p.keys() == {"in", "out"} for p in entry_check):
         raise ValueError(f"task {obj['id']!r}: each entry_check entry must be an object with exactly in and out")
     return Task(
         id=obj["id"],
         prompt=obj["prompt"],
-        tests=tuple(obj.get("tests") or []),
+        tests=tuple(tests),
         entry_check=tuple((p["in"], p["out"]) for p in entry_check),
         difficulty=obj.get("difficulty"),
     )
@@ -225,18 +229,14 @@ def run_tests(program_text: str, task: Task, timeout_ms: int = DEFAULT_TIMEOUT_M
 
     if task.entry_check:
         for inp, expected in task.entry_check:
-            t0 = time.perf_counter()
             got = run_toy_program(program_text, inp)
-            outcomes.append(
-                TestOutcome(got == expected, got, None, time.perf_counter() - t0)
-            )
+            outcomes.append(TestOutcome(got == expected, got, None))
     for test in task.tests:
         parent = os.environ.get(SANDBOX_ENV_VAR)
         with tempfile.TemporaryDirectory(prefix="anchor-", dir=parent, ignore_cleanup_errors=True) as sandbox:
-            filename = test.get("file", "solution.txt")
+            filename = test.get("file", DEFAULT_TEST_FILE)
             with open(os.path.join(sandbox, filename), "w", encoding="utf-8") as fp:
                 fp.write(program_text)
-            t0 = time.perf_counter()
             with subprocess.Popen(
                 test["cmd"], shell=True, cwd=sandbox, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                 **_OWN_GROUP,
@@ -245,12 +245,13 @@ def run_tests(program_text: str, task: Task, timeout_ms: int = DEFAULT_TIMEOUT_M
                     out, err = proc.communicate(timeout=timeout_ms / 1000.0)
                     status = proc.returncode
                 except subprocess.TimeoutExpired as exc:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                    proc.wait()
                     out, err, status = exc.stdout or b"", exc.stderr or b"", None
                     timed_out = True
+                finally:  # what the test left running, passed or not; leaving the block reaps the shell
+                    with contextlib.suppress(ProcessLookupError):
+                        os.killpg(proc.pid, signal.SIGKILL)
             output = (out + err).decode(errors="replace")
-            outcomes.append(TestOutcome(status == 0, output, status, time.perf_counter() - t0))
+            outcomes.append(TestOutcome(status == 0, output, status))
     passed = bool(outcomes) and all(o.passed for o in outcomes) and not timed_out
     return TestResult(passed, tuple(outcomes), timed_out)
 
@@ -331,10 +332,7 @@ def evaluate(
     repeated = [task_id for task_id, n in Counter(t.id for t in corpus).items() if n > 1]
     if repeated:
         raise ValueError(f"duplicate task ids: {repeated}")
-    if beam_k is not None and not (1 <= beam_k <= backend.vocab.size):
-        raise ValueError(f"beam_k must be in 1..{backend.vocab.size}")
-    if config.top_k is not None and config.top_k > backend.vocab.size:
-        raise ValueError(f"top_k must be in 1..{backend.vocab.size}")
+    check_search_args(backend.vocab.size, config, 1 if beam_k is None else beam_k)
     if timeout_ms < 1:
         raise ValueError("timeout must be >= 1 ms")
     if workers < 1:
@@ -354,8 +352,7 @@ def evaluate(
             if beam_k is not None:
                 candidates = beam_search_anchored(backend, prompt, config, beam_k, limits)
                 outcomes = [passes(c.tokens) for c in candidates]
-                gen_len = len(candidates[0].tokens) if candidates else 0
-                return TaskRecord(task.id, None, None, any(outcomes[:1]), outcomes, gen_len), n_prompt
+                return TaskRecord(task.id, None, None, outcomes[0], outcomes, len(candidates[0].tokens)), n_prompt
             anchor = config.applies_to(resolution)
             if anchor and config.activation == "always":
                 trace = anchored_decode(backend, prompt, config, limits)

@@ -36,8 +36,10 @@ def test_parse_markup_custom_delims():
     spec = parse_markup("a[b]c", "[", "]")
     assert spec.segments == (("a", False), ("b", True), ("c", False))
     # an empty delimiter matched everywhere without advancing (a hang), and
-    # equal delimiters could never close a span
-    for text, open_delim, close_delim in (("ab", "", "⟧"), ("ab", "⟦", ""), ("ab", "", ""), ("a|b|c", "|", "|")):
+    # equal delimiters, or one that starts with the other, could never close a span
+    cases = (("ab", "", "⟧"), ("ab", "⟦", ""), ("ab", "", ""), ("a|b|c", "|", "|"),
+             ("a[b[[", "[", "[["), ("a<b<<", "<", "<<"), ("a[[b[", "[[", "["))
+    for text, open_delim, close_delim in cases:
         with pytest.raises(ValueError, match="non-empty and differ"):
             parse_markup(text, open_delim, close_delim)
 

@@ -136,7 +136,9 @@ def test_eval_top_k_above_vocab_exits_before_any_task(capsys, tmp_path):
 
 def test_bad_delimiters_exit_before_any_task(capsys, tmp_path):
     corpus = str(eval_corpus(tmp_path))
-    for flags in (["--anchor-open", ""], ["--anchor-close", ""], ["--anchor-open", "|", "--anchor-close", "|"]):
+    pairs = (("|", "|"), ("[", "[["), ("<", "<<"), ("[[", "["))
+    bad = [["--anchor-open", ""], ["--anchor-close", ""]] + [["--anchor-open", o, "--anchor-close", c] for o, c in pairs]
+    for flags in bad:
         code, out, err = run_cli(capsys, "generate", "--backend", BACKEND, "--prompt", "ab", *flags)
         assert code == 2 and out == "" and "non-empty and differ" in err
         code, out, err = run_cli(capsys, "eval", "--backend", BACKEND, "--corpus", corpus, *flags)

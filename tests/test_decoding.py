@@ -223,6 +223,23 @@ def test_truncated_confidence_rejected(backend):
         beam_search_anchored(backend, parse_markup("ab⟦cd⟧"), AnchoringConfig(mode="confidence", top_k=4), 2, LIMITS)
 
 
+def test_search_inputs_outside_vocab_rejected_before_any_call(backend):
+    # a top_k above the vocabulary, in any mode, and a beam width outside
+    # 1..V cost no score() call (over remote:, no round trip)
+    size = backend.vocab.size
+    prompt = parse_markup("ab⟦cd⟧")
+    counting = CountingBackend(backend)
+    for config in (fixed(1.25, top_k=size + 1), AnchoringConfig(mode="off", top_k=size + 1)):
+        with pytest.raises(ValueError, match=f"top_k must be in 1..{size}"):
+            anchored_decode(counting, prompt, config, LIMITS)
+        with pytest.raises(ValueError, match=f"top_k must be in 1..{size}"):
+            beam_search_anchored(counting, prompt, config, 2, LIMITS)
+    for width in (0, size + 1):
+        with pytest.raises(ValueError, match=f"beam width must be in 1..{size}"):
+            beam_search_anchored(counting, prompt, fixed(1.25), width, LIMITS)
+    assert counting.calls == 0
+
+
 # -- beam search -------------------------------------------------------------
 
 

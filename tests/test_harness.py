@@ -134,6 +134,12 @@ def test_task_needs_some_check():
         {"entry_check": [["a", "a"]]},
         {"prompt": 12, "tests": [{"cmd": "exit 0"}]},
         {"difficulty": 3, "tests": [{"cmd": "exit 0"}]},
+        {"tests": [{"cmd": "exit 0", "fil": "a.py"}]},
+        {"tests": False, "entry_check": [{"in": "a", "out": "a"}]},
+        {"tests": None, "entry_check": [{"in": "a", "out": "a"}]},
+        {"tests": {}, "entry_check": [{"in": "a", "out": "a"}]},
+        {"entry_check": 0, "tests": [{"cmd": "exit 0"}]},
+        {"entry_check": "", "tests": [{"cmd": "exit 0"}]},
     ],
 )
 def test_malformed_tests_rejected_at_load(tmp_path, fields):
@@ -194,7 +200,8 @@ def test_run_tests_timeout():
     assert result.timed_out and not result.passed
 
 
-@pytest.mark.parametrize(
+# both forms of _OWN_GROUP, whatever this interpreter picks
+own_group_forms = pytest.mark.parametrize(
     "own_group",
     [
         pytest.param(
@@ -205,17 +212,33 @@ def test_run_tests_timeout():
         pytest.param({"preexec_fn": os.setpgrp}, id="preexec_fn"),
     ],
 )
+
+
+@own_group_forms
 def test_run_tests_timeout_kills_background_processes(tmp_path, monkeypatch, own_group):
-    monkeypatch.setattr(harness, "_OWN_GROUP", own_group)  # both forms, whatever this interpreter picks
+    monkeypatch.setattr(harness, "_OWN_GROUP", own_group)
     pid_file = tmp_path / "pid"
     cmd = f"sleep 5 & echo $! > {pid_file}; wait"
     task = Task(id="t", prompt="p", tests=({"cmd": cmd, "file": "s.txt"},))
     result = run_tests("x", task, timeout_ms=200)
     assert result.timed_out and not result.passed
-    pid = int(pid_file.read_text())
+    _assert_gone(int(pid_file.read_text()), "outlived its timeout")
+
+
+@own_group_forms
+def test_run_tests_pass_kills_background_processes(tmp_path, monkeypatch, own_group):
+    monkeypatch.setattr(harness, "_OWN_GROUP", own_group)
+    pid_file = tmp_path / "pid"
+    cmd = f"sleep 30 >/dev/null 2>&1 & echo $! > {pid_file}; exit 0"
+    task = Task(id="t", prompt="p", tests=({"cmd": cmd, "file": "s.txt"},))
+    assert run_tests("x", task).passed
+    _assert_gone(int(pid_file.read_text()), "outlived a passing test")
+
+
+def _assert_gone(pid, why):
     deadline = time.monotonic() + 2.0
     while _process_alive(pid):
-        assert time.monotonic() < deadline, f"test process {pid} outlived its timeout"
+        assert time.monotonic() < deadline, f"test process {pid} {why}"
         time.sleep(0.02)
 
 
