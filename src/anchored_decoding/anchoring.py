@@ -24,6 +24,11 @@ DEFAULT_OPEN = "⟦"  # ⟦
 DEFAULT_CLOSE = "⟧"  # ⟧
 
 
+def is_int(x) -> bool:
+    """The rule for every count and token id: a Python or numpy int, never a bool, though Python makes it one."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
 @dataclass(frozen=True)
 class PromptSpec:
     """Ordered prompt segments, each flagged anchored or plain."""
@@ -62,8 +67,8 @@ class AnchoringConfig:
             raise ValueError("omega must be finite")
         if self.mode == "confidence" and not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lambda must be finite and nonnegative")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be positive")
+        if self.top_k is not None and not (is_int(self.top_k) and self.top_k >= 1):
+            raise ValueError("top_k must be a positive int")
         if self.mode == "confidence" and self.top_k is not None:
             raise ValueError("top_k truncation is only supported in fixed mode")
 

@@ -215,8 +215,11 @@ def _cmd_tune(args, backend) -> int:
     by_id = {t.id: t for t in corpus}
     limits = DecodeLimits(args.max_new)
     given = {"folds": args.folds, "seed": args.tune_seed}
-    if args.grid:
-        given["grid"] = tuple(float(x) for x in args.grid.split(","))
+    if args.grid is not None:  # an empty --grid is given, and rejected
+        try:
+            given["grid"] = tuple(float(x) for x in args.grid.split(","))
+        except ValueError:
+            raise ValueError(f"--grid {args.grid!r} must be comma-separated numbers") from None
     if args.no_early_exit:
         given["early_exit"] = False
     if args.invert_folds:

@@ -17,6 +17,7 @@ from .anchoring import (
     PromptSpec,
     combine_confidence,
     combine_fixed,
+    is_int,
     resolve_anchors,
     softmax,
 )
@@ -33,8 +34,8 @@ class DecodeLimits:
     max_new_tokens: int = 64
 
     def __post_init__(self):
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
+        if not (is_int(self.max_new_tokens) and self.max_new_tokens >= 1):
+            raise ValueError("max_new_tokens must be an int >= 1")
 
 
 @dataclass
@@ -70,8 +71,8 @@ class BeamCandidate:
 
 def check_search_args(vocab_size: int, config: AnchoringConfig, width: int) -> None:
     """The rule for a search's inputs against the vocabulary, applied before
-    any score() call: width, and config.top_k whatever the mode, in 1..V."""
-    if not 1 <= width <= vocab_size:
+    any score() call: width, an int, and config.top_k whatever the mode, in 1..V."""
+    if not (is_int(width) and 1 <= width <= vocab_size):
         raise ValueError(f"beam width must be in 1..{vocab_size}")
     if config.top_k is not None and config.top_k > vocab_size:  # AnchoringConfig holds top_k >= 1
         raise ValueError(f"top_k must be in 1..{vocab_size}")
@@ -101,14 +102,11 @@ def _score_step(backend, context, resolution, config, want_attention: bool = Fal
     ``mask_positions``) combined into augmented logits. Returns (original
     result, masked logits, augmented logits, original top-k ids); the last
     three are None without a config, the ids also without config.top_k. A
-    TransportError becomes a DecodeError."""
-    try:
-        orig = backend.score(context, want_attention=want_attention)
-        if config is None:
-            return orig, None, None, None
-        masked = backend.score(context, mask_positions=resolution.token_positions).logits
-    except TransportError as exc:
-        raise DecodeError(str(exc)) from exc
+    backend's TransportError propagates; _search makes it a DecodeError."""
+    orig = backend.score(context, want_attention=want_attention)
+    if config is None:
+        return orig, None, None, None
+    masked = backend.score(context, mask_positions=resolution.token_positions).logits
     top_ids = None if config.top_k is None else top_k_pairs(orig.logits, config.top_k)[0]
     if config.mode == "confidence":
         return orig, masked, combine_confidence(orig.logits, masked, config.lam), top_ids
@@ -143,8 +141,8 @@ def _search(backend, prompt_tokens, resolution, config, limits, width, want_atte
     ties to the lexicographically smallest token sequence. Cost grows with
     width and sequence length; widths here are small (Pass@k scale).
     Returns those paths as (score, tokens, finished, steps), each step a
-    (token, StepScore, seconds); a DecodeError carries the trace of the path
-    being expanded."""
+    (token, StepScore, seconds). A backend's TransportError becomes a
+    DecodeError carrying the trace of the path being expanded."""
     heap = [(0.0, (), False, ())]  # (-score, tokens, finished, steps)
     paths = []
     while heap and len(paths) < width:
@@ -157,9 +155,8 @@ def _search(backend, prompt_tokens, resolution, config, limits, width, want_atte
         t0 = time.perf_counter()
         try:
             orig, masked, aug, top_ids = _score_step(backend, context, resolution, config, want_attention)
-        except DecodeError as exc:
-            exc.partial_trace = _trace(prompt_tokens, steps, "transport_error")
-            raise
+        except TransportError as exc:
+            raise DecodeError(str(exc), _trace(prompt_tokens, steps, "transport_error")) from exc
         children = _candidates(orig.logits, aug, top_ids, width).tolist()
         stored = (orig.logits, masked, aug)
         if top_ids is not None:

@@ -7,6 +7,7 @@ import contextlib
 import csv
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -16,11 +17,14 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .anchoring import DEFAULT_CLOSE, DEFAULT_OPEN, AnchoringConfig, check_delimiters, parse_markup, resolve_anchors
+from .anchoring import (
+    DEFAULT_CLOSE, DEFAULT_OPEN, AnchoringConfig, check_delimiters, is_int, parse_markup, resolve_anchors,
+)
 from .decoding import DecodeLimits, anchored_decode, beam_search_anchored, check_search_args, greedy_decode
 
 SANDBOX_ENV_VAR = "ANCHOR_SANDBOX_DIR"
 DEFAULT_TIMEOUT_MS = 5000  # per test command
+MAX_OUTPUT_BYTES = 1 << 16  # of a test's output kept in its TestOutcome
 
 _TASK_FIELDS = {"id", "prompt", "tests", "entry_check", "difficulty"}
 DEFAULT_TEST_FILE = "solution.txt"  # where a test without a file finds the program
@@ -219,8 +223,10 @@ def run_tests(program_text: str, task: Task, timeout_ms: int = DEFAULT_TIMEOUT_M
 
     Toy tasks (entry_check present) use the built-in evaluator. Command
     tests each run in a private sandbox directory holding the program under
-    the test's declared filename; exit status 0 within the timeout passes.
-    The sandbox is deleted afterwards and the working directory is restored.
+    the test's declared filename; its shell's exit status 0 within the
+    timeout passes. Its process group is then killed, and the first
+    MAX_OUTPUT_BYTES of its stdout and stderr, in one record, are kept as
+    its output. The sandbox is deleted afterwards.
     """
     if timeout_ms < 1:
         raise ValueError("timeout must be >= 1 ms")
@@ -237,20 +243,21 @@ def run_tests(program_text: str, task: Task, timeout_ms: int = DEFAULT_TIMEOUT_M
             filename = test.get("file", DEFAULT_TEST_FILE)
             with open(os.path.join(sandbox, filename), "w", encoding="utf-8") as fp:
                 fp.write(program_text)
-            with subprocess.Popen(
-                test["cmd"], shell=True, cwd=sandbox, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                **_OWN_GROUP,
+            with tempfile.TemporaryFile(dir=sandbox) as out, subprocess.Popen(
+                test["cmd"], shell=True, cwd=sandbox, stdout=out, stderr=subprocess.STDOUT, **_OWN_GROUP
             ) as proc:
-                try:
-                    out, err = proc.communicate(timeout=timeout_ms / 1000.0)
-                    status = proc.returncode
-                except subprocess.TimeoutExpired as exc:
-                    out, err, status = exc.stdout or b"", exc.stderr or b"", None
-                    timed_out = True
-                finally:  # what the test left running, passed or not; leaving the block reaps the shell
+                pidfd = os.pidfd_open(proc.pid)
+                try:  # the test ends when its shell does, whatever still holds its output file open
+                    waiter = select.poll()
+                    waiter.register(pidfd, select.POLLIN)
+                    ended = bool(waiter.poll(timeout_ms))
+                finally:  # what the test left running, passed or not, killed while the unreaped shell keeps its group
+                    os.close(pidfd)
                     with contextlib.suppress(ProcessLookupError):
                         os.killpg(proc.pid, signal.SIGKILL)
-            output = (out + err).decode(errors="replace")
+                status = proc.wait() if ended else None
+                timed_out = timed_out or not ended
+                output = os.pread(out.fileno(), MAX_OUTPUT_BYTES, 0).decode(errors="replace")
             outcomes.append(TestOutcome(status == 0, output, status))
     passed = bool(outcomes) and all(o.passed for o in outcomes) and not timed_out
     return TestResult(passed, tuple(outcomes), timed_out)
@@ -335,8 +342,8 @@ def evaluate(
     check_search_args(backend.vocab.size, config, 1 if beam_k is None else beam_k)
     if timeout_ms < 1:
         raise ValueError("timeout must be >= 1 ms")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not (is_int(workers) and workers >= 1):
+        raise ValueError("workers must be an int >= 1")
     check_delimiters(open_delim, close_delim)
     t_start = time.perf_counter()
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchoring import softmax
+from .anchoring import is_int, softmax
 from .errors import CapacityError, MaskIndexError
 from .vocab import VocabSpec
 
@@ -47,10 +47,6 @@ class ScoreResult:
     attention: np.ndarray | None = None
 
 
-def _is_int(x) -> bool:  # numpy ints are ints; a bool is not, though Python makes it one
-    return type(x) is int or isinstance(x, np.integer)
-
-
 def check_score_args(context_tokens, mask_positions, vocab_size: int, max_positions: int):
     """The one rule for score()'s arguments (README): returns (a new int64 context, sorted distinct masks)."""
     if isinstance(context_tokens, np.ndarray) and context_tokens.ndim == 1:
@@ -60,11 +56,11 @@ def check_score_args(context_tokens, mask_positions, vocab_size: int, max_positi
     n = len(context_tokens)
     if n > max_positions:
         raise CapacityError(f"context length {n} exceeds max_positions {max_positions}")
-    if not all(_is_int(t) and 0 <= t < vocab_size for t in context_tokens):
+    if not all(is_int(t) and 0 <= t < vocab_size for t in context_tokens):
         raise ValueError(f"token ids must be ints in 0..{vocab_size - 1}")
     masks = list(mask_positions)  # read once: a one-shot iterable is checked and used alike
     for m in masks:
-        if not _is_int(m):
+        if not is_int(m):
             raise ValueError(f"mask position {m!r} is not an int in 0..{n - 1}")
         if not 0 <= m < n:
             raise MaskIndexError(f"mask position {m} is outside the context, 0..{n - 1}")

@@ -9,6 +9,8 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
+from .anchoring import is_int
+
 
 def default_grid() -> list[float]:
     """1.00 to 2.00 in 0.05 steps."""
@@ -32,8 +34,8 @@ class TuneSpec:
             raise ValueError("grid must be strictly ascending")
         if 1.0 not in self.grid:
             raise ValueError("grid must contain 1.0")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+        if not (is_int(self.folds) and self.folds >= 2):
+            raise ValueError("folds must be an int >= 2")
 
 
 @dataclass(frozen=True)

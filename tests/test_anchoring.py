@@ -223,8 +223,9 @@ def test_config_validation():
     for lam in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             AnchoringConfig(mode="confidence", lam=lam)
-    with pytest.raises(ValueError):
-        AnchoringConfig(top_k=0)
+    for top_k in (0, 2.5, True):  # a count is an int, and a bool is not one
+        with pytest.raises(ValueError, match="top_k"):
+            AnchoringConfig(top_k=top_k)
     with pytest.raises(ValueError, match="only supported in fixed mode"):
         AnchoringConfig(mode="confidence", top_k=2)
 

@@ -158,7 +158,9 @@ def test_empty_context_rejected(backend):
 
 
 def test_embed_checks_tokens_like_score(backend):
-    for bad in ([-1], [backend.vocab.size], []):
+    # a 1-d numpy int array is a context (README); a float array is not
+    assert np.array_equal(backend.score(np.array([2, 3])).logits, backend.score([2, 3]).logits)
+    for bad in ([-1], [backend.vocab.size], [], np.array([2.0, 3.0])):
         for probe in (backend.score, backend.embed):
             with pytest.raises(ValueError):
                 probe(bad)

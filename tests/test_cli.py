@@ -64,6 +64,11 @@ def test_generate_matches_module_calls(capsys):
         backend, parse_markup("ab⟦cd⟧"), AnchoringConfig(mode="fixed", omega=1.25), DecodeLimits(64)
     )
     assert json.loads(out)["tokens"] == trace.generated_tokens
+    # the text output says the same, with the decoded text
+    code, out, _ = run_cli(capsys, "generate", "--backend", BACKEND, "--prompt", "ab⟦cd⟧", "--omega", "1.25")
+    assert code == 0
+    text = backend.vocab.detokenize(trace.generated_tokens)
+    assert out == f"tokens: {trace.generated_tokens}\ntext: {text!r}\nfinished: {trace.finished_reason}\n"
 
 
 def test_conflicting_flags_usage_error(capsys):
@@ -222,11 +227,17 @@ def test_eval_human_and_json_agree(capsys, tmp_path):
     code, json_out, _ = run_cli(
         capsys, "eval", "--backend", BACKEND, "--corpus", str(corpus), "--max-new", "8", "--json"
     )
+    csv_path = tmp_path / "report.csv"
     code2, human_out, _ = run_cli(
-        capsys, "eval", "--backend", BACKEND, "--corpus", str(corpus), "--max-new", "8"
+        capsys, "eval", "--backend", BACKEND, "--corpus", str(corpus), "--max-new", "8", "--csv", str(csv_path)
     )
     assert code == code2 == 0
     assert f"pass@1: {json.loads(json_out)['pass_at_1']:.3f}" in human_out
+    # the CSV summary holds the same per-task outcomes
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == "task_id,baseline_passed,anchored_passed,final_passed"
+    tasks = json.loads(json_out)["tasks"]
+    assert [row.split(",")[::3] for row in rows[1:]] == [[t["id"], str(t["final_passed"])] for t in tasks]
 
 
 def test_generate_and_eval_over_remote_match_local(capsys, tmp_path):
@@ -261,7 +272,11 @@ def test_tune_finds_fixture_peak(capsys, tmp_path, monkeypatch):
     corpus = eval_corpus(tmp_path)
     out_path = tmp_path / "tune.json"
 
+    calls = []
+
     def fake_evaluate(backend, tasks, config, limits, **kw):
+        calls.append((config.omega, len(tasks)))
+
         class R:
             pass_at_1 = 1.0 - abs(config.omega - 1.35)
 
@@ -276,6 +291,21 @@ def test_tune_finds_fixture_peak(capsys, tmp_path, monkeypatch):
     doc = json.loads(out_path.read_text())
     assert doc["recommended"] == 1.35
     assert json.loads(out) == doc
+    # the spec flags: every grid value is tried (no early exit past the peak),
+    # on two folds' tasks (4 of 6) per fold, then the best on the third
+    calls.clear()
+    grid = "1.0,1.35,1.4,1.45,1.5"
+    code, out, _ = run_cli(
+        capsys, "tune", "--backend", BACKEND, "--corpus", str(corpus), "--folds", "3",
+        "--grid", grid, "--no-early-exit", "--invert-folds", "--json",
+    )
+    assert code == 0 and json.loads(out)["grid"] == [1.0, 1.35, 1.4, 1.45, 1.5]
+    per_fold = [(float(w), 4) for w in grid.split(",")] + [(1.35, 2)]
+    assert calls == per_fold * 3
+    # an empty or non-numeric grid item is an error that names --grid
+    for bad in ("", ",", "1.0,x"):
+        code, out, err = run_cli(capsys, "tune", "--backend", BACKEND, "--corpus", str(corpus), "--grid", bad)
+        assert code == 2 and out == "" and "--grid" in err, (bad, err)
 
 
 def test_analyze_dilution_csv(capsys, tmp_path):

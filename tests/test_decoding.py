@@ -234,9 +234,12 @@ def test_search_inputs_outside_vocab_rejected_before_any_call(backend):
             anchored_decode(counting, prompt, config, LIMITS)
         with pytest.raises(ValueError, match=f"top_k must be in 1..{size}"):
             beam_search_anchored(counting, prompt, config, 2, LIMITS)
-    for width in (0, size + 1):
+    for width in (0, size + 1, 2.5, True):  # a width is an int, and a bool is not one
         with pytest.raises(ValueError, match=f"beam width must be in 1..{size}"):
             beam_search_anchored(counting, prompt, fixed(1.25), width, LIMITS)
+    for count in (0, 2.5, True):  # as is a token count
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            DecodeLimits(count)
     assert counting.calls == 0
 
 
@@ -439,6 +442,13 @@ def test_export_trace_ndjson(backend):
         orig = np.array([float(s) for s in obj["orig"]])
         assert np.array_equal(orig, trace.steps[i][1].original)
         assert obj["alpha"] is not None and 0.0 <= float(obj["alpha"]) <= 1.0
+    # a greedy trace has no masked pass: its masked and augmented vectors are null
+    buf = io.StringIO()
+    export_trace(greedy_decode(backend, [2, 3, 4], LIMITS), buf)
+    assert buf.getvalue()
+    for line in buf.getvalue().splitlines():
+        obj = json.loads(line)
+        assert obj["masked"] is None and obj["aug"] is None and obj["alpha"] is None and len(obj["orig"]) == 16
 
 
 def test_export_trace_truncated_pairs(backend):

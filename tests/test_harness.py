@@ -182,10 +182,13 @@ def test_run_tests_exit_zero():
 
 
 def test_run_tests_nonzero_exit():
-    task = Task(id="t", prompt="p", tests=({"cmd": "exit 3", "file": "sol.txt"},))
-    result = run_tests("x", task)
-    assert not result.passed
-    assert result.outcomes[0].exit_status == 3
+    # stdout and stderr come back in one record
+    for cmd, output in (("exit 3", ""), ("echo to-out; echo to-err >&2; exit 3", "to-out\nto-err\n")):
+        task = Task(id="t", prompt="p", tests=({"cmd": cmd, "file": "sol.txt"},))
+        result = run_tests("x", task)
+        assert not result.passed
+        assert result.outcomes[0].exit_status == 3
+        assert result.outcomes[0].output == output
 
 
 def test_run_tests_sees_program_file():
@@ -195,9 +198,13 @@ def test_run_tests_sees_program_file():
 
 
 def test_run_tests_timeout():
-    task = Task(id="t", prompt="p", tests=({"cmd": "sleep 2", "file": "s.txt"},))
-    result = run_tests("x", task, timeout_ms=200)
-    assert result.timed_out and not result.passed
+    for cmd in ("sleep 2", "yes"):
+        task = Task(id="t", prompt="p", tests=({"cmd": cmd, "file": "s.txt"},))
+        result = run_tests("x", task, timeout_ms=200)
+        assert result.timed_out and not result.passed
+        # a chatty test keeps only the head of its output, however much it wrote
+        output = result.outcomes[0].output
+        assert len(output) <= harness.MAX_OUTPUT_BYTES and set(output.split()) <= {"y"}
 
 
 # both forms of _OWN_GROUP, whatever this interpreter picks
@@ -228,11 +235,16 @@ def test_run_tests_timeout_kills_background_processes(tmp_path, monkeypatch, own
 @own_group_forms
 def test_run_tests_pass_kills_background_processes(tmp_path, monkeypatch, own_group):
     monkeypatch.setattr(harness, "_OWN_GROUP", own_group)
-    pid_file = tmp_path / "pid"
-    cmd = f"sleep 30 >/dev/null 2>&1 & echo $! > {pid_file}; exit 0"
-    task = Task(id="t", prompt="p", tests=({"cmd": cmd, "file": "s.txt"},))
-    assert run_tests("x", task).passed
-    _assert_gone(int(pid_file.read_text()), "outlived a passing test")
+    # without a redirect the sleep holds the test's output open: the test still ends when its shell exits
+    for i, redirect in enumerate((" >/dev/null 2>&1", "")):
+        pid_file = tmp_path / f"pid{i}"
+        cmd = f"sleep 30{redirect} & echo $! > {pid_file}; exit 0"
+        task = Task(id="t", prompt="p", tests=({"cmd": cmd, "file": "s.txt"},))
+        start = time.monotonic()
+        result = run_tests("x", task, timeout_ms=2000)
+        assert time.monotonic() - start < 1.0, redirect
+        assert result.passed and not result.timed_out and result.outcomes[0].exit_status == 0
+        _assert_gone(int(pid_file.read_text()), "outlived a passing test")
 
 
 def _assert_gone(pid, why):
@@ -476,7 +488,10 @@ def test_evaluate_checks_run_inputs_before_any_task(backend, monkeypatch):
     calls = count_harness_calls(monkeypatch, "parse_markup")
     corpus = [make_task(f"t{i}", p, "d") for i, p in enumerate(("ab⟦cd⟧", "abc⟦d⟧", "⟦a⟧bc"))]
     counting = CountingBackend(backend)
-    for bad in ({"beam_k": 0}, {"beam_k": backend.vocab.size + 1}, {"timeout_ms": 0}, {"workers": 0}, {"workers": -1}):
+    for bad in (
+        {"beam_k": 0}, {"beam_k": backend.vocab.size + 1}, {"timeout_ms": 0}, {"workers": 0}, {"workers": -1},
+        {"beam_k": 1.5}, {"beam_k": True}, {"workers": 1.5}, {"workers": True},  # counts are ints, never bools
+    ):
         with pytest.raises(ValueError):
             evaluate(counting, corpus, FIXED, LIMITS, **bad)
     for bad in ({"open_delim": ""}, {"close_delim": ""}, {"open_delim": "|", "close_delim": "|"}):

@@ -136,5 +136,6 @@ def test_spec_validation():
         TuneSpec(grid=(1.2, 1.1))
     with pytest.raises(ValueError):
         TuneSpec(grid=(1.1, 1.2))  # missing 1.0
-    with pytest.raises(ValueError):
-        TuneSpec(folds=1)
+    for folds in (1, 2.5, True):  # a count is an int, and a bool is not one
+        with pytest.raises(ValueError, match="folds"):
+            TuneSpec(folds=folds)
