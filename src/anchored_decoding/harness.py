@@ -25,6 +25,7 @@ from .decoding import DecodeLimits, anchored_decode, beam_search_anchored, check
 SANDBOX_ENV_VAR = "ANCHOR_SANDBOX_DIR"
 DEFAULT_TIMEOUT_MS = 5000  # per test command
 MAX_OUTPUT_BYTES = 1 << 16  # of a test's output kept in its TestOutcome
+MAX_FILE_BYTES = 1 << 24  # per file a test writes, its output file included (RLIMIT_FSIZE)
 
 _TASK_FIELDS = {"id", "prompt", "tests", "entry_check", "difficulty"}
 DEFAULT_TEST_FILE = "solution.txt"  # where a test without a file finds the program
@@ -224,9 +225,10 @@ def run_tests(program_text: str, task: Task, timeout_ms: int = DEFAULT_TIMEOUT_M
     Toy tasks (entry_check present) use the built-in evaluator. Command
     tests each run in a private sandbox directory holding the program under
     the test's declared filename; its shell's exit status 0 within the
-    timeout passes. Its process group is then killed, and the first
-    MAX_OUTPUT_BYTES of its stdout and stderr, in one record, are kept as
-    its output. The sandbox is deleted afterwards.
+    timeout passes; no file it writes grows past MAX_FILE_BYTES. Its process
+    group is then killed, and the first MAX_OUTPUT_BYTES of its stdout and
+    stderr, in one record, are kept as its output. The sandbox is deleted
+    afterwards.
     """
     if timeout_ms < 1:
         raise ValueError("timeout must be >= 1 ms")
@@ -243,8 +245,9 @@ def run_tests(program_text: str, task: Task, timeout_ms: int = DEFAULT_TIMEOUT_M
             filename = test.get("file", DEFAULT_TEST_FILE)
             with open(os.path.join(sandbox, filename), "w", encoding="utf-8") as fp:
                 fp.write(program_text)
+            cmd = f"ulimit -f {MAX_FILE_BYTES // 512}; {test['cmd']}"  # ulimit counts 512-byte blocks
             with tempfile.TemporaryFile(dir=sandbox) as out, subprocess.Popen(
-                test["cmd"], shell=True, cwd=sandbox, stdout=out, stderr=subprocess.STDOUT, **_OWN_GROUP
+                cmd, shell=True, cwd=sandbox, stdout=out, stderr=subprocess.STDOUT, **_OWN_GROUP
             ) as proc:
                 pidfd = os.pidfd_open(proc.pid)
                 try:  # the test ends when its shell does, whatever still holds its output file open
@@ -332,6 +335,8 @@ def evaluate(
     the delimiters are checked before the first task; tasks run on a pool of
     ``workers`` threads. Each prompt is resolved once; one that fails to parse or
     tokenize is its task's error, and that task is left out of the buckets.
+    A task's tests run once per distinct program text, so they are taken to
+    be deterministic; a timeout is that program's outcome.
     """
     corpus = list(corpus)
     if not corpus:
@@ -348,8 +353,13 @@ def evaluate(
     t_start = time.perf_counter()
 
     def eval_task(task: Task) -> tuple[TaskRecord, int | None]:
+        tested: dict[str, bool] = {}  # program text -> passed: each distinct program meets the tests once
+
         def passes(tokens) -> bool:
-            return run_tests(backend.vocab.detokenize(tokens), task, timeout_ms).passed
+            text = backend.vocab.detokenize(tokens)
+            if text not in tested:
+                tested[text] = run_tests(text, task, timeout_ms).passed
+            return tested[text]
 
         n_prompt = None  # returned with the record: the prompt token count, once the prompt resolves
         try:

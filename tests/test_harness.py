@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import sys
 import time
 
@@ -10,6 +11,9 @@ from anchored_decoding import (
     AnchoringConfig,
     CountingBackend,
     DecodeLimits,
+    ScoreResult,
+    VocabSpec,
+    beam_search_anchored,
     greedy_decode,
     parse_markup,
     resolve_anchors,
@@ -198,13 +202,24 @@ def test_run_tests_sees_program_file():
 
 
 def test_run_tests_timeout():
-    for cmd in ("sleep 2", "yes"):
-        task = Task(id="t", prompt="p", tests=({"cmd": cmd, "file": "s.txt"},))
-        result = run_tests("x", task, timeout_ms=200)
-        assert result.timed_out and not result.passed
-        # a chatty test keeps only the head of its output, however much it wrote
-        output = result.outcomes[0].output
-        assert len(output) <= harness.MAX_OUTPUT_BYTES and set(output.split()) <= {"y"}
+    task = Task(id="t", prompt="p", tests=({"cmd": "sleep 2", "file": "s.txt"},))
+    result = run_tests("x", task, timeout_ms=200)
+    assert result.timed_out and not result.passed
+    # a chatty test fills its output file to MAX_FILE_BYTES and fails there, before
+    # its timeout, keeping only the head of what it wrote
+    task = Task(id="t", prompt="p", tests=({"cmd": "yes", "file": "s.txt"},))
+    result = run_tests("x", task, timeout_ms=2000)
+    assert not result.passed and not result.timed_out
+    output = result.outcomes[0].output
+    assert len(output) <= harness.MAX_OUTPUT_BYTES and set(output.split()) <= {"y"}
+
+
+def test_run_tests_bounds_every_file_written():
+    cmd = f"head -c {2 * harness.MAX_FILE_BYTES} /dev/zero > big; wc -c < big"
+    task = Task(id="t", prompt="p", tests=({"cmd": cmd, "file": "s.txt"},))
+    result = run_tests("x", task, timeout_ms=2000)
+    assert not result.timed_out
+    assert int(result.outcomes[0].output.split()[-1]) <= harness.MAX_FILE_BYTES
 
 
 # both forms of _OWN_GROUP, whatever this interpreter picks
@@ -446,6 +461,62 @@ def test_evaluate_beam_pass_at_k(backend):
         assert all(r.error is None for r in report.records)
         by_id = {r.task_id: r for r in report.records}
         assert by_id["plain"].candidate_outcomes == [out == outputs[1] for out in outputs]
+
+
+def test_evaluate_tests_each_program_once(backend, tmp_path):
+    # at omega 1 the anchored decode emits the failed baseline's program again:
+    # the anchored pass is decoded, but its tests do not run a second time
+    counter = tmp_path / "runs"
+    rng = np.random.default_rng(3)
+    corpus = [
+        Task(id=f"t{i}", prompt=random_marked_prompt(rng, backend.vocab),
+             tests=({"cmd": f"echo t{i} >> {shlex.quote(str(counter))}; false"},))
+        for i in range(4)
+    ]
+    counting = CountingBackend(backend)
+    report = evaluate(counting, corpus, AnchoringConfig(mode="fixed", omega=1.0), LIMITS, workers=2)
+    assert counting.masked_calls > 0  # the anchored decode ran
+    assert sorted(counter.read_text().split()) == [t.id for t in corpus]
+    for r in report.records:  # as when both passes ran their tests
+        assert (r.baseline_passed, r.anchored_passed, r.final_passed) == (False, False, False)
+        assert r.candidate_outcomes == [False] and r.error is None
+
+
+class ScriptedBackend:
+    """Toy-vocabulary stub whose logits depend on the generated text only:
+    'a' first, then the stop token just ahead of the mask token. A width-3
+    beam over two new tokens ends on a+stop, a+mask and bc: the first two
+    are one program, "a"."""
+
+    vocab = VocabSpec.toy(16)
+    max_positions = 64
+    prompt_len = 3
+
+    def score(self, context, mask_positions=frozenset(), want_attention=False):
+        logits = np.full(self.vocab.size, -10.0)
+        generated = self.vocab.detokenize(context[self.prompt_len:])
+        if generated == "":
+            logits[[2, 3]] = 5.0, 0.0  # 'a', 'b'
+        elif generated == "a":
+            logits[[1, 0]] = 5.0, 4.0  # stop, mask
+        else:
+            logits[4] = 0.0  # 'c'
+        return ScoreResult(logits=logits)
+
+
+def test_evaluate_beam_tests_each_program_once(tmp_path):
+    counter = tmp_path / "runs"
+    cmd = f"echo run >> {shlex.quote(str(counter))}; test \"$(cat solution.txt)\" = a"
+    task = Task(id="t", prompt="ab⟦c⟧", tests=({"cmd": cmd},))
+    backend = ScriptedBackend()
+    limits = DecodeLimits(2)
+    candidates = beam_search_anchored(backend, parse_markup(task.prompt), FIXED, 3, limits)
+    assert [backend.vocab.detokenize(c.tokens) for c in candidates] == ["a", "a", "bc"]
+    assert candidates[0].tokens != candidates[1].tokens
+    report = evaluate(backend, [task], FIXED, limits, beam_k=3)
+    assert report.records[0].candidate_outcomes == [True, True, False]
+    assert report.pass_at_k == {1: 1.0, 3: 1.0}
+    assert counter.read_text().split() == ["run", "run"]  # one run per distinct program
 
 
 def test_evaluate_records_per_task_errors(backend):
