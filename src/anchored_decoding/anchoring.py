@@ -48,21 +48,18 @@ class AnchoringConfig:
     the per-token logit difference by ``lam * (1 - p_t)`` where p_t is the
     token's original softmax probability. ``top_k`` (fixed mode only; set in
     confidence mode it raises ValueError) restricts the candidate tokens and
-    trace storage to the top-k original logits. ``activation`` selects whether
-    the harness anchors every task or only after a failed baseline attempt.
+    trace storage to the top-k original logits. When a task is anchored is the
+    harness's policy, ``harness.evaluate``'s ``activation``.
     """
 
     mode: str = "fixed"  # off | fixed | confidence
     omega: float = 1.25
     lam: float = 1.0
     top_k: int | None = None
-    activation: str = "on_test_failure"  # always | on_test_failure
 
     def __post_init__(self):
         if self.mode not in ("off", "fixed", "confidence"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.activation not in ("always", "on_test_failure"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.mode == "fixed" and not np.isfinite(self.omega):
             raise ValueError("omega must be finite")
         if self.mode == "confidence" and not (np.isfinite(self.lam) and self.lam >= 0):

@@ -65,7 +65,7 @@ def _build_backend(selector: str):
 
 def _anchoring_config(args) -> AnchoringConfig:
     mode = args.mode
-    given = {name: getattr(args, name, None) for name in ("omega", "lam", "activation")}
+    given = {"omega": args.omega, "lam": args.lam}
     if mode == "confidence" and given["omega"] is not None:
         raise UsageError("--omega conflicts with --mode confidence (use --lambda)")
     if mode in ("off", "fixed") and given["lam"] is not None:
@@ -229,9 +229,9 @@ def _cmd_tune(args, backend) -> int:
 
     def evaluator(omega, task_ids):
         # tuning anchors every task; failure gating is an inference-time policy
-        config = AnchoringConfig(mode="fixed", omega=omega, activation="always")
+        config = AnchoringConfig(mode="fixed", omega=omega)
         report = evaluate(
-            backend, [by_id[t] for t in task_ids], config, limits, timeout_ms=args.timeout_ms
+            backend, [by_id[t] for t in task_ids], config, limits, activation="always", timeout_ms=args.timeout_ms
         )
         return report.pass_at_1
 
@@ -244,13 +244,14 @@ def _cmd_tune(args, backend) -> int:
 
 def _cmd_eval(args, backend) -> int:
     corpus = load_corpus(args.corpus)
-    config = _anchoring_config(args)
+    given = {} if args.activation is None else {"activation": args.activation}  # evaluate holds the default
     report = evaluate(
         backend,
         corpus,
-        config,
+        _anchoring_config(args),
         DecodeLimits(args.max_new),
         beam_k=args.beam,
+        **given,
         timeout_ms=args.timeout_ms,
         workers=args.workers,
         open_delim=args.anchor_open,

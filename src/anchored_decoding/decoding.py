@@ -22,7 +22,7 @@ from .anchoring import (
     softmax,
 )
 from .attention_analysis import attention_ratio
-from .errors import DecodeError, TransportError
+from .errors import CapacityError, DecodeError, TransportError
 from .toy_model import CountingBackend, top_k_pairs
 from .wire import _fmt
 
@@ -78,15 +78,15 @@ def check_search_args(vocab_size: int, config: AnchoringConfig, width: int) -> N
         raise ValueError(f"top_k must be in 1..{vocab_size}")
 
 
-def _prepare(backend, prompt, config: AnchoringConfig):
-    """Input checks (check_search_args) and prompt resolution shared by the
-    decoders. ``prompt`` is a PromptSpec (tokenized against the backend's
-    vocabulary) or a pre-resolved (prompt_tokens, AnchorResolution) pair
+def _prepare(backend, prompt, config: AnchoringConfig, width: int):
+    """Input checks (check_search_args at ``width``) and prompt resolution
+    shared by the decoders. ``prompt`` is a PromptSpec (tokenized against the
+    backend's vocabulary) or a pre-resolved (prompt_tokens, AnchorResolution) pair
     whose prompt_length is len(prompt_tokens), the form a backend without
     surface strings requires. Returns (prompt_tokens, resolution, config),
     the config replaced by None where it does not apply to the prompt
     (AnchoringConfig.applies_to)."""
-    check_search_args(backend.vocab.size, config, 1)
+    check_search_args(backend.vocab.size, config, width)
     if isinstance(prompt, PromptSpec):
         prompt_tokens, resolution = resolve_anchors(prompt, backend.vocab)
     else:
@@ -127,11 +127,13 @@ def _candidates(original: np.ndarray, augmented, top_ids, n: int) -> np.ndarray:
 
 def _search(backend, prompt_tokens, resolution, config, limits, width, want_attention=False):
     """The one decode loop, a best-first search: greedy and anchored decoding
-    run it at width 1, the beam at beam_width. A path ends on a stop token, at
-    max_new_tokens or at max_positions. Each expanded prefix is scored once;
-    its children are the candidate rule's ``width`` best ids, each scored by
-    the log of its ORIGINAL softmax probability, so amplified-but-noisy
-    low-rank logits widen the search without corrupting the ranking.
+    run it at width 1, the beam at beam_width. A prompt longer than max_positions
+    raises CapacityError before any score() call; a path ends on a stop token,
+    at max_new_tokens or at max_positions. Each expanded prefix is scored
+    once; its children are the candidate rule's ``width`` best ids, each
+    scored by the log of its ORIGINAL softmax probability, so
+    amplified-but-noisy low-rank logits widen the search without corrupting
+    the ranking.
 
     Log-probabilities only decrease along a path, so a prefix's score bounds
     all of its completions and the first ``width`` paths to end are exactly
@@ -143,6 +145,8 @@ def _search(backend, prompt_tokens, resolution, config, limits, width, want_atte
     Returns those paths as (score, tokens, finished, steps), each step a
     (token, StepScore, seconds). A backend's TransportError becomes a
     DecodeError carrying the trace of the path being expanded."""
+    if len(prompt_tokens) > backend.max_positions:
+        raise CapacityError(f"prompt length {len(prompt_tokens)} exceeds max_positions {backend.max_positions}")
     heap = [(0.0, (), False, ())]  # (-score, tokens, finished, steps)
     paths = []
     while heap and len(paths) < width:
@@ -199,7 +203,7 @@ def anchored_decode(
     resolution; generated tokens are never masked. Where anchoring does not
     apply (mode off, or no anchored tokens) it is greedy_decode: one score()
     call per step, no masked pass."""
-    prompt_tokens, resolution, config = _prepare(backend, prompt, config)
+    prompt_tokens, resolution, config = _prepare(backend, prompt, config, 1)
     return _decode(backend, prompt_tokens, resolution, config, limits, want_attention)
 
 
@@ -217,8 +221,7 @@ def beam_search_anchored(
     anchored tokens it is a plain beam search over the original logits.
     A TransportError aborts with a DecodeError (no partial trace).
     """
-    check_search_args(backend.vocab.size, config, beam_width)
-    prompt_tokens, resolution, config = _prepare(backend, prompt, config)
+    prompt_tokens, resolution, config = _prepare(backend, prompt, config, beam_width)
     try:
         paths = _search(backend, prompt_tokens, resolution, config, limits, beam_width)
     except DecodeError as exc:
@@ -243,7 +246,7 @@ def measure_overhead(backend, prompt: PromptSpec, config: AnchoringConfig, limit
     wall_times, which leave out prompt resolution and trace assembly. Where
     the config applies, the anchored loop issues exactly two score() calls
     per emitted token against the baseline's one."""
-    prompt_tokens, resolution, _ = _prepare(backend, prompt, config)
+    prompt_tokens, resolution, _ = _prepare(backend, prompt, config, 1)
     counting = CountingBackend(backend)
     base = greedy_decode(counting, prompt_tokens, limits)
     base_calls = counting.calls

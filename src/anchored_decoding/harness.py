@@ -219,6 +219,11 @@ def run_toy_program(program: str, inp: str) -> str:
 # -- sandboxed execution -----------------------------------------------------
 
 
+def _check_timeout(timeout_ms) -> None:
+    if not (is_int(timeout_ms) and timeout_ms >= 1):
+        raise ValueError("timeout_ms must be an int >= 1")
+
+
 def run_tests(program_text: str, task: Task, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> TestResult:
     """Run a task's checks against a candidate program.
 
@@ -230,8 +235,7 @@ def run_tests(program_text: str, task: Task, timeout_ms: int = DEFAULT_TIMEOUT_M
     stderr, in one record, are kept as its output. The sandbox is deleted
     afterwards.
     """
-    if timeout_ms < 1:
-        raise ValueError("timeout must be >= 1 ms")
+    _check_timeout(timeout_ms)
     outcomes: list[TestOutcome] = []
     timed_out = False
 
@@ -316,27 +320,29 @@ def evaluate(
     config: AnchoringConfig,
     limits: DecodeLimits,
     beam_k: int | None = None,
+    activation: str = "on_test_failure",
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     workers: int = 1,
     open_delim: str = DEFAULT_OPEN,
     close_delim: str = DEFAULT_CLOSE,
 ) -> EvalReport:
-    """Evaluate a corpus under the configured activation policy.
+    """Evaluate a corpus under an activation policy.
 
-    on_test_failure: greedy baseline first; the anchored pass runs only for
-    tasks whose baseline failed, and its output replaces the answer only if
-    it passes (so Pass@1 never drops below baseline). always: anchored pass
-    only. Tasks the config does not apply to (AnchoringConfig.applies_to) get
-    the greedy baseline under either policy. With beam_k, Pass@k is computed
-    over the beam candidates (a plain beam search where anchoring does not
-    apply).
+    activation "on_test_failure" (the default): greedy baseline first; the
+    anchored pass runs only for tasks whose baseline failed, and its output
+    replaces the answer only if it passes (so Pass@1 never drops below
+    baseline). "always": anchored pass only. Tasks the config does not apply
+    to (AnchoringConfig.applies_to) get the greedy baseline under either
+    policy. With beam_k, Pass@k is computed over the beam candidates (a plain
+    beam search where anchoring does not apply), whatever the policy.
 
-    Task ids (none may repeat), beam_k, config.top_k, timeout_ms, workers and
-    the delimiters are checked before the first task; tasks run on a pool of
-    ``workers`` threads. Each prompt is resolved once; one that fails to parse or
-    tokenize is its task's error, and that task is left out of the buckets.
-    A task's tests run once per distinct program text, so they are taken to
-    be deterministic; a timeout is that program's outcome.
+    Task ids (none may repeat), beam_k, config.top_k, activation, timeout_ms (an
+    int, anchoring.is_int), workers and the delimiters are checked before the
+    first task; tasks run on a pool of ``workers`` threads. Each prompt is
+    resolved once; one that fails to parse or tokenize is its task's error,
+    and that task is left out of the buckets. A task's tests run once per
+    distinct program text, so they are taken to be deterministic; a timeout is
+    that program's outcome.
     """
     corpus = list(corpus)
     if not corpus:
@@ -345,8 +351,9 @@ def evaluate(
     if repeated:
         raise ValueError(f"duplicate task ids: {repeated}")
     check_search_args(backend.vocab.size, config, 1 if beam_k is None else beam_k)
-    if timeout_ms < 1:
-        raise ValueError("timeout must be >= 1 ms")
+    if activation not in ("always", "on_test_failure"):
+        raise ValueError(f"unknown activation {activation!r}")
+    _check_timeout(timeout_ms)
     if not (is_int(workers) and workers >= 1):
         raise ValueError("workers must be an int >= 1")
     check_delimiters(open_delim, close_delim)
@@ -371,21 +378,17 @@ def evaluate(
                 outcomes = [passes(c.tokens) for c in candidates]
                 return TaskRecord(task.id, None, None, outcomes[0], outcomes, len(candidates[0].tokens)), n_prompt
             anchor = config.applies_to(resolution)
-            if anchor and config.activation == "always":
-                trace = anchored_decode(backend, prompt, config, limits)
-                passed = passes(trace.generated_tokens)
-                return TaskRecord(task.id, None, passed, passed, [passed], len(trace.steps)), n_prompt
-            base_trace = greedy_decode(backend, prompt_tokens, limits)
-            base_passed = passes(base_trace.generated_tokens)
-            anchored_passed = None
-            final = base_passed
-            gen_len = len(base_trace.steps)
+            base_passed = anchored_passed = None
+            if not (anchor and activation == "always"):
+                trace = greedy_decode(backend, prompt_tokens, limits)
+                base_passed = passes(trace.generated_tokens)
+                gen_len = len(trace.steps)
             if anchor and not base_passed:
                 trace = anchored_decode(backend, prompt, config, limits)
                 anchored_passed = passes(trace.generated_tokens)
-                if anchored_passed:
-                    final = True
+                if anchored_passed or base_passed is None:
                     gen_len = len(trace.steps)
+            final = bool(base_passed or anchored_passed)
             return TaskRecord(task.id, base_passed, anchored_passed, final, [final], gen_len), n_prompt
         except Exception as exc:  # per-task failures never abort the run
             return TaskRecord(task.id, None, None, False, [False], 0, error=str(exc)), n_prompt

@@ -11,9 +11,11 @@ DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789+-*/=()<>,.:; "
 class VocabSpec:
     """Vocabulary contract shared by all backends.
 
-    ``token_strings`` (id -> surface string, bijective) exists for the toy
-    backend and for a remote backend whose server sends them; without it the
-    vocabulary is an opaque id space.
+    ``token_strings`` (id -> surface string) exists for the toy backend and
+    for a remote backend whose server sends them: it maps every id in
+    0..size-1 to a non-empty string, no two ids alike, so detokenize is
+    defined for every id and is a bijection. Without it the vocabulary is an
+    opaque id space.
     """
 
     size: int
@@ -29,11 +31,11 @@ class VocabSpec:
         if any(not (0 <= s < self.size) for s in self.stop_ids):
             raise ValueError("stop_ids out of range")
         if self.token_strings is not None:
-            if set(self.token_strings) - set(range(self.size)):
-                raise ValueError("token_strings keys out of range")
+            if set(self.token_strings) != set(range(self.size)):
+                raise ValueError(f"token_strings keys must be exactly 0..{self.size - 1}")
             strings = list(self.token_strings.values())
-            if len(set(strings)) != len(strings):
-                raise ValueError("token_strings must be a bijection")
+            if not all(isinstance(s, str) and s for s in strings) or len(set(strings)) != len(strings):
+                raise ValueError("token_strings must be distinct non-empty strings")
 
     @staticmethod
     def toy(size: int, alphabet: str = DEFAULT_ALPHABET) -> "VocabSpec":

@@ -222,6 +222,27 @@ def test_eval_json_output(capsys, tmp_path):
     assert len(doc["tasks"]) == 6
 
 
+def test_eval_activation_always(capsys, tmp_path):
+    corpus = eval_corpus(tmp_path)
+    with open(corpus, "a", encoding="utf-8") as fp:  # a prompt with no anchored span
+        fp.write(json.dumps({"id": "plain", "prompt": "abcd", "entry_check": [{"in": "ab", "out": "ab"}]}) + "\n")
+    docs = {}
+    for flags in ((), ("--activation", "on_test_failure"), ("--activation", "always")):
+        code, out, _ = run_cli(
+            capsys, "eval", "--backend", BACKEND, "--corpus", str(corpus), "--max-new", "8", "--json", *flags
+        )
+        assert code == 0
+        docs[flags[1:]] = {t["id"]: t for t in json.loads(out)["tasks"]}
+    default, gated, always = docs.values()
+    assert default == gated  # on_test_failure is evaluate's default
+    assert all(t["baseline_passed"] is not None for t in gated.values())
+    for task_id, task in always.items():
+        if task_id == "plain":  # anchoring does not apply: the greedy baseline under either policy
+            assert task == gated["plain"] and task["baseline_passed"] is not None and task["anchored_passed"] is None
+        else:  # the anchored pass only
+            assert task["baseline_passed"] is None and task["anchored_passed"] == task["final_passed"]
+
+
 def test_eval_human_and_json_agree(capsys, tmp_path):
     corpus = eval_corpus(tmp_path)
     code, json_out, _ = run_cli(
@@ -273,9 +294,11 @@ def test_tune_finds_fixture_peak(capsys, tmp_path, monkeypatch):
     out_path = tmp_path / "tune.json"
 
     calls = []
+    activations = set()
 
     def fake_evaluate(backend, tasks, config, limits, **kw):
         calls.append((config.omega, len(tasks)))
+        activations.add(kw["activation"])
 
         class R:
             pass_at_1 = 1.0 - abs(config.omega - 1.35)
@@ -291,6 +314,7 @@ def test_tune_finds_fixture_peak(capsys, tmp_path, monkeypatch):
     doc = json.loads(out_path.read_text())
     assert doc["recommended"] == 1.35
     assert json.loads(out) == doc
+    assert activations == {"always"}  # tuning anchors every task
     # the spec flags: every grid value is tried (no early exit past the peak),
     # on two folds' tasks (4 of 6) per fold, then the best on the third
     calls.clear()

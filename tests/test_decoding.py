@@ -23,7 +23,7 @@ from anchored_decoding import (
     resolve_anchors,
 )
 from anchored_decoding.anchoring import softmax
-from anchored_decoding.errors import DecodeError, TransportError
+from anchored_decoding.errors import CapacityError, DecodeError, TransportError
 from anchored_decoding.toy_model import top_k_pairs
 
 from conftest import make_backend, random_marked_prompt
@@ -69,6 +69,20 @@ def test_greedy_respects_capacity():
     assert len(trace.prompt_tokens) + len(trace.steps) <= 6
     if trace.finished_reason == "length_limit":
         assert len(trace.steps) <= 3
+    # a prompt past max_positions is refused by every decoder before any score() call
+    counting = CountingBackend(backend)
+    over = parse_markup("abc⟦de⟧fg")  # 7 tokens
+    with pytest.raises(CapacityError, match="prompt length 7 exceeds max_positions 6"):
+        greedy_decode(counting, resolve_anchors(over, backend.vocab)[0], DecodeLimits(20))
+    with pytest.raises(CapacityError):
+        anchored_decode(counting, over, fixed(1.25), DecodeLimits(20))
+    with pytest.raises(CapacityError):
+        beam_search_anchored(counting, over, fixed(1.25), 2, DecodeLimits(20))
+    assert counting.calls == 0
+    # one of exactly max_positions tokens leaves no room to decode
+    trace = anchored_decode(counting, parse_markup("abc⟦de⟧f"), fixed(1.25), DecodeLimits(20))
+    assert trace.steps == [] and trace.finished_reason == "length_limit"
+    assert counting.calls == 0
 
 
 # -- anchored ----------------------------------------------------------------

@@ -305,8 +305,9 @@ def test_sandbox_hygiene(tmp_path):
 
 def test_run_tests_bad_timeout():
     task = Task(id="t", prompt="p", entry_check=(("a", "a"),))
-    with pytest.raises(ValueError):
-        run_tests("x", task, timeout_ms=0)
+    for bad in (0, True, 2.5):  # an int, never a bool, as every count
+        with pytest.raises(ValueError):
+            run_tests("x", task, timeout_ms=bad)
 
 
 # -- pass@k ------------------------------------------------------------------
@@ -400,9 +401,7 @@ def test_omega_one_always_equals_baseline(backend):
     # prompts without an anchored span get the greedy baseline under "always" too
     for p in ("abcd", "ef⟦⟧g"):
         corpus.append(make_task(p, p, baseline_program(backend, p), passing=True))
-    always = evaluate(
-        backend, corpus, AnchoringConfig(mode="fixed", omega=1.0, activation="always"), LIMITS
-    )
+    always = evaluate(backend, corpus, AnchoringConfig(mode="fixed", omega=1.0), LIMITS, activation="always")
     baseline = evaluate(backend, corpus, AnchoringConfig(mode="off"), LIMITS)
     assert all(r.error is None for r in always.records)
     assert always.pass_at_1 == baseline.pass_at_1
@@ -538,6 +537,14 @@ def test_evaluate_records_per_task_errors(backend):
     assert sum(report.bucket_counts.values()) == len(good)
 
 
+def test_evaluate_records_overlong_prompt_error():
+    backend = make_backend(max_positions=6)
+    task = make_task("long", "abc⟦de⟧fg", "d")  # 7 prompt tokens
+    for kw in ({}, {"activation": "always"}, {"beam_k": 2}):
+        [record] = evaluate(backend, [task], FIXED, LIMITS, **kw).records
+        assert record.error == "prompt length 7 exceeds max_positions 6" and not record.final_passed
+
+
 def count_harness_calls(monkeypatch, *names):
     """Wrap the named functions where harness looks them up; returns the
     live call counts by name."""
@@ -562,6 +569,7 @@ def test_evaluate_checks_run_inputs_before_any_task(backend, monkeypatch):
     for bad in (
         {"beam_k": 0}, {"beam_k": backend.vocab.size + 1}, {"timeout_ms": 0}, {"workers": 0}, {"workers": -1},
         {"beam_k": 1.5}, {"beam_k": True}, {"workers": 1.5}, {"workers": True},  # counts are ints, never bools
+        {"timeout_ms": True}, {"timeout_ms": 2.5}, {"activation": "sometimes"},
     ):
         with pytest.raises(ValueError):
             evaluate(counting, corpus, FIXED, LIMITS, **bad)

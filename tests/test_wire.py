@@ -102,6 +102,11 @@ def test_meta(remote, server, server_backend):
     for bad in ("64", None, 0):
         with StubServer(dict(meta, max_positions=bad)) as stub, pytest.raises(TransportError, match="malformed meta"):
             RemoteBackend(*stub.address, timeout=5)
+    # surface strings that skip an id or give one no text: detokenize would raise or lose the bijection
+    strings = meta["token_strings"]
+    for bad in ([p for p in strings if p[0] != 3], [[i, "" if i == 3 else s] for i, s in strings]):
+        with StubServer(dict(meta, token_strings=bad)) as stub, pytest.raises(TransportError, match="malformed meta"):
+            RemoteBackend(*stub.address, timeout=5)
 
 
 def test_meta_without_surface_strings_gives_opaque_vocab():
