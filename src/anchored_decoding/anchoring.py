@@ -15,10 +15,12 @@ amplifies the span, w = 0 ignores it, w < 0 reverses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .vocab import VocabSpec
+if TYPE_CHECKING:
+    from .vocab import VocabSpec
 
 DEFAULT_OPEN = "⟦"  # ⟦
 DEFAULT_CLOSE = "⟧"  # ⟧

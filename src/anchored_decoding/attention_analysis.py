@@ -26,17 +26,6 @@ class DilutionCurve:
     prompt_length: int
 
 
-@dataclass(frozen=True)
-class LengthStats:
-    """Mean/median generated-token counts per (group, passed/failed) cell.
-
-    cells maps (group, status) -> (mean, median, count), status in
-    {"passed", "failed"}.
-    """
-
-    cells: dict[tuple[str, str], tuple[float, float, int]]
-
-
 def attention_ratio(attention_row, prompt_length: int) -> float:
     """Fraction of the (normalized) attention row's mass on prompt positions.
 
@@ -96,9 +85,10 @@ def gradient_attention(backend, context_tokens, delta: float = 1e-3) -> np.ndarr
     return scores
 
 
-def length_stats(results) -> LengthStats:
-    """Aggregate (token_count, passed, group) triples into per-cell
-    mean/median/count."""
+def length_stats(results) -> dict[tuple[str, str], tuple[float, float, int]]:
+    """Aggregate (token_count, passed, group) triples into generated-token
+    counts per cell: (group, status) -> (mean, median, count), status in
+    {"passed", "failed"}."""
     if not results:
         raise ValueError("no results")
     buckets: dict[tuple[str, str], list[int]] = {}
@@ -107,11 +97,10 @@ def length_stats(results) -> LengthStats:
             raise ValueError("negative token count")
         key = (str(group), "passed" if passed else "failed")
         buckets.setdefault(key, []).append(count)
-    cells = {
+    return {
         key: (statistics.mean(vals), float(statistics.median(vals)), len(vals))
         for key, vals in buckets.items()
     }
-    return LengthStats(cells)
 
 
 def write_curve_csv(curve: DilutionCurve, fp) -> None:
@@ -121,8 +110,8 @@ def write_curve_csv(curve: DilutionCurve, fp) -> None:
         w.writerow([i, repr(a)])
 
 
-def write_length_stats_csv(stats: LengthStats, fp) -> None:
+def write_length_stats_csv(cells: dict[tuple[str, str], tuple[float, float, int]], fp) -> None:
     w = csv.writer(fp)
     w.writerow(["group", "status", "mean", "median", "count"])
-    for (group, status), (mean, median, count) in sorted(stats.cells.items()):
+    for (group, status), (mean, median, count) in sorted(cells.items()):
         w.writerow([group, status, repr(mean), repr(median), count])

@@ -66,8 +66,8 @@ def _build_backend(selector: str):
 def _anchoring_config(args) -> AnchoringConfig:
     mode = args.mode
     given = {"omega": args.omega, "lam": args.lam}
-    if mode == "confidence" and given["omega"] is not None:
-        raise UsageError("--omega conflicts with --mode confidence (use --lambda)")
+    if mode in ("off", "confidence") and given["omega"] is not None:
+        raise UsageError(f"--omega conflicts with --mode {mode}")
     if mode in ("off", "fixed") and given["lam"] is not None:
         raise UsageError(f"--lambda conflicts with --mode {mode}")
     try:  # only the flags given are passed, so AnchoringConfig holds every default
@@ -122,9 +122,10 @@ def build_parser() -> _Parser:
     e.set_defaults(run=_cmd_eval)
     _add_backend_flags(e)
     _add_anchoring_flags(e)
-    e.add_argument("--activation", choices=["always", "on_test_failure"], default=None)
+    policy = e.add_mutually_exclusive_group()  # a beam run has no baseline to gate on
+    policy.add_argument("--activation", choices=["always", "on_test_failure"], default=None)
+    policy.add_argument("--beam", type=int, default=None, help="beam width for Pass@k")
     e.add_argument("--corpus", required=True)
-    e.add_argument("--beam", type=int, default=None, help="beam width for Pass@k")
     e.add_argument("--max-new", type=int, default=32)
     e.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
     e.add_argument("--workers", type=int, default=1)
@@ -287,14 +288,14 @@ def _cmd_lengths(args, backend) -> int:
         report = json.load(fp)
     difficulty = {t.id: t.difficulty or "overall" for t in load_corpus(args.corpus)}
     try:
-        stats = length_stats([
+        cells = length_stats([
             (entry["generated_len"], bool(entry["final_passed"]), difficulty.get(entry["id"], "overall"))
             for entry in report["tasks"]
         ])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{args.report} is not an eval report: {exc!r}") from exc
     with _output(args.out) as fp:
-        write_length_stats_csv(stats, fp)
+        write_length_stats_csv(cells, fp)
     return 0
 
 
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AnchorError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (AnchorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -7,7 +7,8 @@ from __future__ import annotations
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 from .anchoring import is_int
 
@@ -54,18 +55,7 @@ class TuneReport:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "folds": [
-                    {"fold": f.fold, "best_omega": f.best_omega, "holdout_pass1": f.holdout_pass1}
-                    for f in self.folds
-                ],
-                "recommended": self.recommended,
-                "variance": self.variance,
-                "grid": list(self.grid),
-                "seed": self.seed,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def kfold_split(task_ids, folds: int, seed: int) -> list[list]:
@@ -121,9 +111,7 @@ def grid_search(evaluator, task_ids, spec: TuneSpec) -> TuneReport:
         best = _best_on_grid(evaluator, tune_set, spec)
         results.append(FoldResult(i, best, evaluator(best, eval_set)))
     bests = [r.best_omega for r in results]
-    counts: dict[float, int] = {}
-    for b in bests:
-        counts[b] = counts.get(b, 0) + 1
+    counts = Counter(bests)
     top = max(counts.values())
     recommended = min((b for b, c in counts.items() if c == top), key=_tie_key)
     variance = statistics.pvariance(bests) if len(bests) > 1 else 0.0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .anchoring import is_int
+
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789+-*/=()<>,.:; "
 
 
@@ -15,7 +17,8 @@ class VocabSpec:
     for a remote backend whose server sends them: it maps every id in
     0..size-1 to a non-empty string, no two ids alike, so detokenize is
     defined for every id and is a bijection. Without it the vocabulary is an
-    opaque id space.
+    opaque id space. ``size``, ``mask_id`` and each stop id follow the int
+    rule, ``anchoring.is_int``.
     """
 
     size: int
@@ -24,12 +27,12 @@ class VocabSpec:
     token_strings: dict[int, str] | None = field(default=None)
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("vocab size must be positive")
-        if not (0 <= self.mask_id < self.size):
-            raise ValueError("mask_id out of range")
-        if any(not (0 <= s < self.size) for s in self.stop_ids):
-            raise ValueError("stop_ids out of range")
+        if not (is_int(self.size) and self.size >= 1):
+            raise ValueError("vocab size must be a positive int")
+        if not (is_int(self.mask_id) and 0 <= self.mask_id < self.size):
+            raise ValueError("mask_id must be an int in range")
+        if not all(is_int(s) and 0 <= s < self.size for s in self.stop_ids):
+            raise ValueError("stop_ids must be ints in range")
         if self.token_strings is not None:
             if set(self.token_strings) != set(range(self.size)):
                 raise ValueError(f"token_strings keys must be exactly 0..{self.size - 1}")
@@ -49,14 +52,11 @@ class VocabSpec:
             strings[i] = alphabet[i - 2]
         return VocabSpec(size=size, mask_id=0, stop_ids=frozenset({1}), token_strings=strings)
 
-    def string_to_id(self) -> dict[str, int]:
-        if self.token_strings is None:
-            raise ValueError("vocabulary has no surface strings")
-        return {s: i for i, s in self.token_strings.items()}
-
     def tokenize(self, text: str) -> list[int]:
         """Greedy longest-match tokenization; raises naming the untokenizable tail."""
-        table = self.string_to_id()
+        if self.token_strings is None:
+            raise ValueError("vocabulary has no surface strings")
+        table = {s: i for i, s in self.token_strings.items()}
         max_len = max(len(s) for s in table)
         out: list[int] = []
         pos = 0

@@ -17,6 +17,7 @@ import threading
 
 import numpy as np
 
+from .anchoring import is_int
 from .errors import CapacityError, MaskIndexError, TransportError
 from .toy_model import ScoreResult, check_score_args, top_k_pairs
 from .vocab import VocabSpec
@@ -81,7 +82,7 @@ def handle_request(backend, line: str) -> dict:
     if not isinstance(want_attention, bool):
         return _error("bad_request", "want_attention must be a bool")
     top_k = req.get("top_k")
-    if top_k is not None and (type(top_k) is not int or top_k < 1):  # not bool, which JSON true decodes to
+    if top_k is not None and not (is_int(top_k) and top_k >= 1):
         return _error("bad_request", "top_k must be a positive int or null")
     try:
         check_score_args(tokens, masks, backend.vocab.size, backend.max_positions)
@@ -209,7 +210,7 @@ class RemoteBackend:
                 stop_ids=frozenset(meta["stop_ids"]),
                 token_strings=dict(meta["token_strings"]) if meta.get("token_strings") else None,
             )
-            if type(meta["max_positions"]) is not int or meta["max_positions"] < 1:  # score() checks against it
+            if not (is_int(meta["max_positions"]) and meta["max_positions"] >= 1):  # score() checks against it
                 raise ValueError("max_positions must be a positive int")
             return vocab, meta["max_positions"]
         except (KeyError, TypeError, ValueError) as exc:
@@ -252,6 +253,9 @@ class RemoteBackend:
             "want_attention": bool(want_attention),
         })
         try:
+            # handle_request writes each id as str(int); int() alone would also take 3.9, true or " 3"
+            if not all(isinstance(i, str) and i.isascii() and i.isdigit() for i, _ in resp["logits"]):
+                raise ValueError("logit ids must be digit strings")
             ids = [int(i) for i, _ in resp["logits"]]
             values = np.array([float(v) for _, v in resp["logits"]])
             attention = resp.get("attention")

@@ -153,7 +153,7 @@ def test_gradient_attention_unsupported_backend():
 
 def test_length_stats_single_cell():
     stats = length_stats([(10, True, "easy")])
-    assert stats.cells[("easy", "passed")] == (10, 10.0, 1)
+    assert stats[("easy", "passed")] == (10, 10.0, 1)
 
 
 def test_length_stats_spreadsheet_oracle():
@@ -166,9 +166,9 @@ def test_length_stats_spreadsheet_oracle():
         (100, False, "hard"),
     ]
     stats = length_stats(rows)
-    assert stats.cells[("easy", "passed")] == (15, 15.0, 2)
-    assert stats.cells[("easy", "failed")] == (30, 30.0, 1)
-    assert stats.cells[("hard", "failed")] == (40, 15.0, 3)
+    assert stats[("easy", "passed")] == (15, 15.0, 2)
+    assert stats[("easy", "failed")] == (30, 30.0, 1)
+    assert stats[("hard", "failed")] == (40, 15.0, 3)
 
 
 def test_length_stats_paper_fixture_renders():

@@ -72,12 +72,13 @@ def test_generate_matches_module_calls(capsys):
 
 
 def test_conflicting_flags_usage_error(capsys):
-    code, _, err = run_cli(
-        capsys, "generate", "--backend", BACKEND, "--prompt", "⟦a⟧",
-        "--mode", "confidence", "--omega", "1.5",
-    )
-    assert code == 1
-    assert "--omega" in err and "confidence" in err
+    for mode in ("confidence", "off"):  # --omega is a fixed-mode flag
+        code, _, err = run_cli(
+            capsys, "generate", "--backend", BACKEND, "--prompt", "⟦a⟧",
+            "--mode", mode, "--omega", "1.5",
+        )
+        assert code == 1
+        assert "--omega" in err and mode in err
 
 
 def test_lambda_with_fixed_mode_is_usage_error(capsys):
@@ -241,6 +242,19 @@ def test_eval_activation_always(capsys, tmp_path):
             assert task == gated["plain"] and task["baseline_passed"] is not None and task["anchored_passed"] is None
         else:  # the anchored pass only
             assert task["baseline_passed"] is None and task["anchored_passed"] == task["final_passed"]
+
+
+@pytest.mark.parametrize("activation", ["always", "on_test_failure"])
+def test_eval_beam_refuses_activation(capsys, tmp_path, activation):
+    # a beam run tests its candidates, with no baseline for the policy to gate on
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(
+        capsys, "eval", "--backend", BACKEND, "--corpus", str(eval_corpus(tmp_path)), "--max-new", "8",
+        "--beam", "2", "--activation", activation, "--out", str(out_path),
+    )
+    assert code == 1 and out == ""
+    assert "--activation" in err and "--beam" in err
+    assert not out_path.exists()
 
 
 def test_eval_human_and_json_agree(capsys, tmp_path):

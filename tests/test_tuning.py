@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anchored_decoding import TuneSpec, grid_search, kfold_split
-from anchored_decoding.tuning import default_grid
+from anchored_decoding.tuning import FoldResult, TuneReport, default_grid
 
 
 def tent_evaluator(peak, grid):
@@ -127,6 +127,22 @@ def test_report_json_schema():
     assert doc["recommended"] == 1.1
     assert {f["fold"] for f in doc["folds"]} == {0, 1, 2, 3}
     assert all({"fold", "best_omega", "holdout_pass1"} == set(f) for f in doc["folds"])
+
+
+def test_report_json_bytes():
+    # the bytes tune --json and --out write: field order, and grid as a list
+    report = TuneReport(
+        folds=(FoldResult(0, 1.1, 0.5), FoldResult(1, 1.25, 0.75)),
+        recommended=1.1,
+        variance=0.005625,
+        grid=(1.0, 1.1, 1.25),
+        seed=3,
+    )
+    assert report.to_json() == (
+        '{"folds": [{"fold": 0, "best_omega": 1.1, "holdout_pass1": 0.5},'
+        ' {"fold": 1, "best_omega": 1.25, "holdout_pass1": 0.75}],'
+        ' "recommended": 1.1, "variance": 0.005625, "grid": [1.0, 1.1, 1.25], "seed": 3}'
+    )
 
 
 def test_spec_validation():

@@ -102,6 +102,14 @@ def test_meta(remote, server, server_backend):
     for bad in ("64", None, 0):
         with StubServer(dict(meta, max_positions=bad)) as stub, pytest.raises(TransportError, match="malformed meta"):
             RemoteBackend(*stub.address, timeout=5)
+    # so is a count or id off the int rule: a float size would fail at the first score(), past DecodeError
+    for bad in (
+        {"vocab_size": float(meta["vocab_size"]), "token_strings": None},
+        {"mask_id": True},
+        {"stop_ids": [float(s) for s in meta["stop_ids"]]},
+    ):
+        with StubServer(dict(meta, **bad)) as stub, pytest.raises(TransportError, match="malformed meta"):
+            RemoteBackend(*stub.address, timeout=5)
     # surface strings that skip an id or give one no text: detokenize would raise or lose the bijection
     strings = meta["token_strings"]
     for bad in ([p for p in strings if p[0] != 3], [[i, "" if i == 3 else s] for i, s in strings]):
@@ -388,6 +396,7 @@ MALFORMED_SCORE_REPLIES = {  # each made from a good full-vector reply
     "id out of range": lambda good: dict(good, logits=good["logits"][:-1] + [["99", "0.5"]]),
     "duplicate id": lambda good: dict(good, logits=good["logits"][:-1] + [["0", "0.5"]]),
     "no version": lambda good: {k: v for k, v in good.items() if k != "v"},
+    "ids i + 0.9": lambda good: dict(good, logits=[[int(i) + 0.9, v] for i, v in good["logits"]]),
 }
 
 
