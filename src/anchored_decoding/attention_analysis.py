@@ -5,25 +5,17 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .anchoring import is_int
 from .errors import UnsupportedOperationError
 
 if TYPE_CHECKING:
     from .decoding import GenerationTrace
 
 ROW_SUM_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class DilutionCurve:
-    """Per-step attention-to-prompt ratios for one decode."""
-
-    alphas: list[float]
-    prompt_length: int
 
 
 def attention_ratio(attention_row, prompt_length: int) -> float:
@@ -42,16 +34,16 @@ def attention_ratio(attention_row, prompt_length: int) -> float:
     return float(row[:prompt_length].sum())
 
 
-def dilution_curve(trace: GenerationTrace) -> DilutionCurve:
-    """Attention-to-prompt ratio at every step of a trace captured with
-    want_attention. At step 1 the context is all prompt, so alpha is 1."""
+def dilution_curve(trace: GenerationTrace) -> list[float]:
+    """Attention-to-prompt ratio (alpha) at every step of a trace captured
+    with want_attention. At step 1 the context is all prompt, so alpha is 1."""
     prompt_length = len(trace.prompt_tokens)
     alphas = []
     for i, (_, score) in enumerate(trace.steps):
         if score.attention_row is None:
             raise ValueError(f"step {i} has no attention row; decode with want_attention")
         alphas.append(attention_ratio(score.attention_row, prompt_length))
-    return DilutionCurve(alphas, prompt_length)
+    return alphas
 
 
 def gradient_attention(backend, context_tokens, delta: float = 1e-3) -> np.ndarray:
@@ -93,8 +85,8 @@ def length_stats(results) -> dict[tuple[str, str], tuple[float, float, int]]:
         raise ValueError("no results")
     buckets: dict[tuple[str, str], list[int]] = {}
     for count, passed, group in results:
-        if count < 0:
-            raise ValueError("negative token count")
+        if not (is_int(count) and count >= 0):
+            raise ValueError(f"token count {count!r} is not an int >= 0")
         key = (str(group), "passed" if passed else "failed")
         buckets.setdefault(key, []).append(count)
     return {
@@ -103,10 +95,10 @@ def length_stats(results) -> dict[tuple[str, str], tuple[float, float, int]]:
     }
 
 
-def write_curve_csv(curve: DilutionCurve, fp) -> None:
+def write_curve_csv(alphas: list[float], fp) -> None:
     w = csv.writer(fp)
     w.writerow(["step", "alpha"])
-    for i, a in enumerate(curve.alphas):
+    for i, a in enumerate(alphas):
         w.writerow([i, repr(a)])
 
 

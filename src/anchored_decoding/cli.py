@@ -63,15 +63,18 @@ def _build_backend(selector: str):
     raise UsageError(f"unknown backend selector {selector!r}")
 
 
+# the AnchoringConfig fields each mode reads, and the flag that sets each field
+_MODE_FIELDS = {"off": (), "fixed": ("omega", "top_k"), "confidence": ("lam",)}
+_FIELD_FLAGS = {"omega": "--omega", "lam": "--lambda", "top_k": "--top-k"}
+
+
 def _anchoring_config(args) -> AnchoringConfig:
-    mode = args.mode
-    given = {"omega": args.omega, "lam": args.lam}
-    if mode in ("off", "confidence") and given["omega"] is not None:
-        raise UsageError(f"--omega conflicts with --mode {mode}")
-    if mode in ("off", "fixed") and given["lam"] is not None:
-        raise UsageError(f"--lambda conflicts with --mode {mode}")
+    given = {k: getattr(args, k) for k in _FIELD_FLAGS if getattr(args, k) is not None}
+    unread = [k for k in given if k not in _MODE_FIELDS[args.mode]]
+    if unread:
+        raise UsageError(f"{_FIELD_FLAGS[unread[0]]} conflicts with --mode {args.mode}")
     try:  # only the flags given are passed, so AnchoringConfig holds every default
-        return AnchoringConfig(mode=mode, top_k=args.top_k, **{k: v for k, v in given.items() if v is not None})
+        return AnchoringConfig(mode=args.mode, **given)
     except ValueError as exc:  # a config the flags describe is a usage error
         raise UsageError(str(exc)) from exc
 
@@ -288,10 +291,12 @@ def _cmd_lengths(args, backend) -> int:
         report = json.load(fp)
     difficulty = {t.id: t.difficulty or "overall" for t in load_corpus(args.corpus)}
     try:
-        cells = length_stats([
-            (entry["generated_len"], bool(entry["final_passed"]), difficulty.get(entry["id"], "overall"))
-            for entry in report["tasks"]
-        ])
+        rows = []
+        for entry in report["tasks"]:  # each field as EvalReport.to_json writes it
+            if not (isinstance(entry["final_passed"], bool) and isinstance(entry["id"], str)):
+                raise TypeError("final_passed must be a bool and id a string")
+            rows.append((entry["generated_len"], entry["final_passed"], difficulty.get(entry["id"], "overall")))
+        cells = length_stats(rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{args.report} is not an eval report: {exc!r}") from exc
     with _output(args.out) as fp:

@@ -137,7 +137,7 @@ def task_from_dict(obj: dict) -> Task:
         raise ValueError(f"unknown task fields: {sorted(unknown)}")
     if "id" not in obj or "prompt" not in obj:
         raise ValueError("task needs id and prompt")
-    tests, entry_check = obj.get("tests", []), obj.get("entry_check")  # task_to_dict writes a null entry_check
+    tests, entry_check = obj.get("tests", []), obj.get("entry_check")  # older corpora write a null entry_check
     if not isinstance(tests, list) or not isinstance(entry_check, (list, type(None))):
         raise ValueError(f"task {obj['id']!r}: tests must be a list, and entry_check a list or null")
     entry_check = entry_check or []
@@ -150,16 +150,6 @@ def task_from_dict(obj: dict) -> Task:
         entry_check=tuple((p["in"], p["out"]) for p in entry_check),
         difficulty=obj.get("difficulty"),
     )
-
-
-def task_to_dict(task: Task) -> dict:
-    return {
-        "id": task.id,
-        "prompt": task.prompt,
-        "tests": list(task.tests),
-        "entry_check": [{"in": a, "out": b} for a, b in task.entry_check] or None,
-        "difficulty": task.difficulty,
-    }
 
 
 def load_corpus(path) -> list[Task]:
@@ -180,12 +170,6 @@ def load_corpus(path) -> list[Task]:
             seen.add(task.id)
             tasks.append(task)
     return tasks
-
-
-def write_corpus(tasks, path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        for task in tasks:
-            fp.write(json.dumps(task_to_dict(task)) + "\n")
 
 
 # -- toy-language evaluator --------------------------------------------------

@@ -5,22 +5,21 @@ exit stops ascending the grid after two consecutive strict decreases."""
 from __future__ import annotations
 
 import json
+import math
 import random
 import statistics
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .anchoring import is_int
 
 
-def default_grid() -> list[float]:
-    """1.00 to 2.00 in 0.05 steps."""
-    return [round(1.0 + 0.05 * i, 2) for i in range(21)]
+DEFAULT_GRID = tuple(round(1.0 + 0.05 * i, 2) for i in range(21))  # 1.00 to 2.00 in 0.05 steps
 
 
 @dataclass(frozen=True)
 class TuneSpec:
-    grid: tuple[float, ...] = field(default_factory=lambda: tuple(default_grid()))
+    grid: tuple[float, ...] = DEFAULT_GRID
     folds: int = 5
     seed: int = 0
     early_exit: bool = True
@@ -31,6 +30,8 @@ class TuneSpec:
     def __post_init__(self):
         if not self.grid:
             raise ValueError("grid must be non-empty")
+        if not all(math.isfinite(omega) for omega in self.grid):  # a nan compares false, so it passes the next check
+            raise ValueError("grid values must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly ascending")
         if 1.0 not in self.grid:

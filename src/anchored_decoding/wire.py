@@ -200,6 +200,7 @@ class RemoteBackend:
         except BaseException:
             self.close()
             raise
+        self._ids = [str(i) for i in range(self.vocab.size)]  # a score reply's ids, in order
 
     def _meta(self) -> tuple[VocabSpec, int]:
         meta = self._request({"v": PROTOCOL_VERSION, "op": "meta"})
@@ -253,19 +254,18 @@ class RemoteBackend:
             "want_attention": bool(want_attention),
         })
         try:
-            # handle_request writes each id as str(int); int() alone would also take 3.9, true or " 3"
-            if not all(isinstance(i, str) and i.isascii() and i.isdigit() for i, _ in resp["logits"]):
-                raise ValueError("logit ids must be digit strings")
-            ids = [int(i) for i, _ in resp["logits"]]
-            values = np.array([float(v) for _, v in resp["logits"]])
-            attention = resp.get("attention")
+            pairs, attention = resp["logits"], resp["attention"]
+            if [i for i, _ in pairs] != self._ids:  # what handle_request writes without top_k
+                raise ValueError("logit ids must be the strings 0..V-1 in order")
+            logits = np.array([float(v) for _, v in pairs])
             att = None if attention is None else np.array([float(a) for a in attention])
+            if not np.isfinite(logits).all() or (att is None) == bool(want_attention):
+                raise ValueError("logits must be finite, and attention given exactly when asked for")
+            if att is not None and not (att.shape == tokens.shape and np.isfinite(att).all()):
+                raise ValueError("attention must be a finite row over the context")
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError("malformed score response", raw=resp) from exc
-        size = self.vocab.size
-        if sorted(ids) != list(range(size)):  # each id in 0..V-1 exactly once
-            raise TransportError(f"score response must carry {size} distinct ids in 0..{size - 1}", raw=resp)
-        return ScoreResult(logits=values[np.argsort(ids)], attention=att)
+        return ScoreResult(logits=logits, attention=att)
 
     def close(self):
         try:

@@ -28,7 +28,7 @@ from anchored_decoding import (
 from anchored_decoding.anchoring import softmax
 from anchored_decoding.harness import Task, evaluate, run_toy_program
 from anchored_decoding.attention_analysis import attention_ratio, gradient_attention
-from anchored_decoding.tuning import default_grid
+from anchored_decoding.tuning import DEFAULT_GRID
 from anchored_decoding.wire import handle_request
 
 from conftest import make_backend, random_marked_prompt
@@ -203,7 +203,7 @@ def test_criterion_5_attention_instruments():
 
 def test_criterion_6_tuning_protocol():
     rng = np.random.default_rng(606)
-    grid = tuple(default_grid())
+    grid = DEFAULT_GRID
     with criterion(6, "grid-search tuning protocol"):
         hits = 0
         for _ in range(50):

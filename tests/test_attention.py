@@ -77,10 +77,10 @@ def test_dilution_curve_alpha_one_at_step_one(backend):
         DecodeLimits(8),
         want_attention=True,
     )
-    curve = dilution_curve(trace)
-    assert len(curve.alphas) == len(trace.steps)
-    assert curve.alphas[0] == 1.0  # context is all prompt at step 1
-    assert all(0.0 <= a <= 1.0 for a in curve.alphas)
+    alphas = dilution_curve(trace)
+    assert len(alphas) == len(trace.steps)
+    assert alphas[0] == 1.0  # context is all prompt at step 1
+    assert all(0.0 <= a <= 1.0 for a in alphas)
 
 
 def test_dilution_curve_compositional_oracle(backend):
@@ -91,9 +91,8 @@ def test_dilution_curve_compositional_oracle(backend):
         DecodeLimits(50),
         want_attention=True,
     )
-    curve = dilution_curve(trace)
     plen = len(trace.prompt_tokens)
-    for alpha, (_, score) in zip(curve.alphas, trace.steps):
+    for alpha, (_, score) in zip(dilution_curve(trace), trace.steps):
         assert abs(alpha - attention_ratio(score.attention_row, plen)) < 1e-9
 
 
@@ -110,7 +109,7 @@ def test_export_alpha_equals_dilution_curve(rng):
                 buf = io.StringIO()
                 export_trace(trace, buf)
                 alphas = [float(json.loads(line)["alpha"]) for line in buf.getvalue().splitlines()]
-                assert alphas == dilution_curve(trace).alphas
+                assert alphas == dilution_curve(trace)
 
 
 def test_dilution_curve_requires_attention(backend):
@@ -184,9 +183,7 @@ def test_length_stats_paper_fixture_renders():
 
 
 def test_curve_csv():
-    from anchored_decoding.attention_analysis import DilutionCurve
-
     buf = io.StringIO()
-    write_curve_csv(DilutionCurve([1.0, 0.5], 4), buf)
+    write_curve_csv([1.0, 0.5], buf)
     lines = buf.getvalue().strip().split("\r\n")
     assert lines == ["step,alpha", "0,1.0", "1,0.5"]

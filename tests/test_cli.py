@@ -7,7 +7,6 @@ import pytest
 from anchored_decoding import LogitServer, RemoteBackend, __version__
 from anchored_decoding.attention_analysis import gradient_attention
 from anchored_decoding.cli import _build_backend, main
-from anchored_decoding.harness import Task, write_corpus
 
 from conftest import make_backend
 
@@ -72,13 +71,14 @@ def test_generate_matches_module_calls(capsys):
 
 
 def test_conflicting_flags_usage_error(capsys):
-    for mode in ("confidence", "off"):  # --omega is a fixed-mode flag
+    # --omega and --top-k are fixed-mode flags; mode off reads none
+    for mode, flag in (("confidence", "--omega"), ("off", "--omega"), ("off", "--top-k")):
         code, _, err = run_cli(
             capsys, "generate", "--backend", BACKEND, "--prompt", "⟦a⟧",
-            "--mode", mode, "--omega", "1.5",
+            "--mode", mode, flag, "2",
         )
         assert code == 1
-        assert "--omega" in err and mode in err
+        assert f"{flag} conflicts with --mode {mode}" in err
 
 
 def test_lambda_with_fixed_mode_is_usage_error(capsys):
@@ -206,9 +206,9 @@ def eval_corpus(tmp_path):
         tokens, _ = resolve_anchors(parse_markup(prompt), backend.vocab)
         program = backend.vocab.detokenize(greedy_decode(backend, tokens, DecodeLimits(8)).generated_tokens)
         expected = run_toy_program(program, "ab") if i % 2 == 0 else "@@no@@"
-        tasks.append(Task(id=f"t{i}", prompt=prompt, entry_check=(("ab", expected),)))
+        tasks.append({"id": f"t{i}", "prompt": prompt, "entry_check": [{"in": "ab", "out": expected}]})
     path = tmp_path / "corpus.jsonl"
-    write_corpus(tasks, path)
+    path.write_text("".join(json.dumps(t) + "\n" for t in tasks), encoding="utf-8")
     return path
 
 
@@ -344,6 +344,10 @@ def test_tune_finds_fixture_peak(capsys, tmp_path, monkeypatch):
     for bad in ("", ",", "1.0,x"):
         code, out, err = run_cli(capsys, "tune", "--backend", BACKEND, "--corpus", str(corpus), "--grid", bad)
         assert code == 2 and out == "" and "--grid" in err, (bad, err)
+    # a non-finite grid value is refused before any evaluation
+    calls.clear()
+    code, out, err = run_cli(capsys, "tune", "--backend", BACKEND, "--corpus", str(corpus), "--grid", "1.0,nan")
+    assert code == 2 and out == "" and "finite" in err and calls == []
 
 
 def test_analyze_dilution_csv(capsys, tmp_path):
@@ -404,8 +408,12 @@ def test_analyze_lengths_csv(capsys, tmp_path):
     assert len(lines) >= 3
     # a report that is not an EvalReport is a runtime error naming the report
     task = json.loads(report_path.read_text())["tasks"][0]
-    del task["generated_len"]
-    for doc in ({}, [], "tasks", {"tasks": 3}, {"tasks": [task]}):
+    # and so is a task without generated_len, or with a field of a type EvalReport.to_json does not write
+    wrong = (
+        ("final_passed", "false"), ("generated_len", 2.5), ("generated_len", True), ("generated_len", -1), ("id", 5)
+    )
+    tasks = [{k: v for k, v in task.items() if k != "generated_len"}] + [dict(task, **{k: v}) for k, v in wrong]
+    for doc in ({}, [], "tasks", {"tasks": 3}, *({"tasks": [t]} for t in tasks)):
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "analyze", "lengths", "--report", str(bad_path), "--corpus", str(corpus))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anchored_decoding import TuneSpec, grid_search, kfold_split
-from anchored_decoding.tuning import FoldResult, TuneReport, default_grid
+from anchored_decoding.tuning import DEFAULT_GRID, FoldResult, TuneReport
 
 
 def tent_evaluator(peak, grid):
@@ -59,6 +59,9 @@ def test_constant_evaluator_recommends_one():
     report = grid_search(lambda omega, ids: 0.5, list(range(10)), spec)
     assert report.recommended == 1.0
     assert report.variance == 0.0
+    # a tie moves toward 1.0 from below too
+    report = grid_search(lambda omega, ids: 0.5, list(range(10)), TuneSpec(grid=(0.5, 1.0), folds=2))
+    assert [f.best_omega for f in report.folds] == [1.0, 1.0]
 
 
 def test_tent_peak_found_with_and_without_early_exit():
@@ -70,7 +73,7 @@ def test_tent_peak_found_with_and_without_early_exit():
 
 def test_early_exit_matches_exhaustive_on_random_tents():
     rng = np.random.default_rng(7)
-    grid = tuple(default_grid())
+    grid = DEFAULT_GRID
     for _ in range(50):
         peak = float(grid[rng.integers(0, len(grid))])
         fast = grid_search(tent_evaluator(peak, grid), list(range(10)), TuneSpec(folds=2, seed=1))
@@ -82,7 +85,7 @@ def test_early_exit_matches_exhaustive_on_random_tents():
 
 def test_recommended_is_grid_member_and_variance_recomputes():
     rng = np.random.default_rng(3)
-    grid = tuple(default_grid())
+    grid = DEFAULT_GRID
 
     def noisy(omega, task_ids):
         # deterministic per (omega, subset) but irregular
@@ -152,6 +155,9 @@ def test_spec_validation():
         TuneSpec(grid=(1.2, 1.1))
     with pytest.raises(ValueError):
         TuneSpec(grid=(1.1, 1.2))  # missing 1.0
+    for grid in ((1.0, float("nan"), 1.5), (1.0, float("inf"))):  # a nan is neither above nor below its neighbours
+        with pytest.raises(ValueError, match="finite"):
+            TuneSpec(grid=grid)
     for folds in (1, 2.5, True):  # a count is an int, and a bool is not one
         with pytest.raises(ValueError, match="folds"):
             TuneSpec(folds=folds)

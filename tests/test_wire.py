@@ -179,6 +179,17 @@ def test_bad_mask_index(server):
     assert resp == {"v": 1, "ok": False, "code": "bad_mask_index", "message": resp["message"]}
 
 
+@pytest.mark.parametrize("kind, code", wire._ERRORS)
+def test_error_reply_raises_its_table_exception(server_backend, kind, code):
+    # the client cannot provoke these from a real server: it checks the arguments before it sends
+    meta = handle_request(server_backend, json.dumps({"v": 1, "op": "meta"}))
+    error = {"v": 1, "ok": False, "code": code, "message": "from the stub"}
+    with StubServer(meta, error) as stub, RemoteBackend(*stub.address) as rb:
+        with pytest.raises(kind, match="from the stub") as info:
+            rb.score([3, 4])
+    assert type(info.value) is kind
+
+
 def test_unknown_field_rejected(server):
     resp = raw_roundtrip(
         server, json.dumps({"v": 1, "op": "score", "tokens": [3], "bogus": 1})
@@ -202,6 +213,8 @@ def test_malformed_json_keeps_connection_open(server):
             json.dumps({**score, "tokens": [2, True]}).encode(),
             json.dumps({**score, "mask_positions": [False]}).encode(),
             json.dumps({**score, "top_k": True}).encode(),
+            json.dumps({**score, "want_attention": 1}).encode(),
+            json.dumps([score]).encode(),  # not an object
             b"\xff\xfe",
             *(json.dumps({**score, "tokens": bad}).encode() for bad in ("ab", {"2": 3}, 2, None)),
             *(json.dumps({**score, "mask_positions": bad}).encode() for bad in (1, None)),
@@ -397,18 +410,28 @@ MALFORMED_SCORE_REPLIES = {  # each made from a good full-vector reply
     "duplicate id": lambda good: dict(good, logits=good["logits"][:-1] + [["0", "0.5"]]),
     "no version": lambda good: {k: v for k, v in good.items() if k != "v"},
     "ids i + 0.9": lambda good: dict(good, logits=[[int(i) + 0.9, v] for i, v in good["logits"]]),
+    "ids out of order": lambda good: dict(good, logits=good["logits"][::-1]),
+    "nan logits": lambda good: dict(good, logits=[[i, "nan"] for i, _ in good["logits"]]),
+    "an inf logit": lambda good: dict(good, logits=[["0", "inf"]] + good["logits"][1:]),
+    "no attention field": lambda good: {k: v for k, v in good.items() if k != "attention"},
+    "attention not asked for": lambda good: dict(good, attention=["0.5", "0.5"]),
+    "asked attention missing": lambda good: dict(good, attention=None),
+    "asked attention of 5 for 2 tokens": lambda good: dict(good, attention=good["attention"] + ["0"] * 3),
+    "asked attention with nan": lambda good: dict(good, attention=["nan"] + good["attention"][1:]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_SCORE_REPLIES))
 def test_malformed_score_reply_is_transport_error(server_backend, case):
+    want = case.startswith("asked attention")  # the request asks for attention
     meta = handle_request(server_backend, json.dumps({"v": 1, "op": "meta"}))
-    good = handle_request(server_backend, json.dumps({"v": 1, "op": "score", "tokens": [3, 4]}))
+    good = handle_request(server_backend, json.dumps({"v": 1, "op": "score", "tokens": [3, 4], "want_attention": want}))
     with StubServer(meta, MALFORMED_SCORE_REPLIES[case](good)) as stub, RemoteBackend(*stub.address) as rb:
         with pytest.raises(TransportError):
-            rb.score([3, 4])
+            rb.score([3, 4], want_attention=want)
         with pytest.raises(DecodeError):
-            anchored_decode(rb, parse_markup("ab⟦cd⟧"), AnchoringConfig(mode="fixed", omega=1.25), DecodeLimits(4))
+            config = AnchoringConfig(mode="fixed", omega=1.25)
+            anchored_decode(rb, parse_markup("ab⟦cd⟧"), config, DecodeLimits(4), want_attention=want)
 
 
 def test_connect_failure_raises_transport_error():
