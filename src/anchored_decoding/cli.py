@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .anchoring import DEFAULT_CLOSE, DEFAULT_OPEN, AnchoringConfig, parse_markup
+from .anchoring import AnchoringConfig, parse_markup
 from .attention_analysis import (
     dilution_curve,
     gradient_attention,
@@ -22,11 +22,16 @@ from .attention_analysis import (
 )
 from .decoding import DecodeLimits, anchored_decode, export_trace
 from .errors import AnchorError
-from .harness import DEFAULT_TIMEOUT_MS, evaluate, load_corpus
+from .harness import evaluate, load_corpus
 from .toy_model import ToyBackend, ToyModelConfig
 from .tuning import TuneSpec, grid_search
 from .vocab import VocabSpec
 from .wire import LogitServer, RemoteBackend
+
+
+# the default of each flag that sets a library parameter: an absent flag sets no attribute, so the call it
+# reaches through _given gets only the flags given, and the library's own default holds for the rest
+_UNSET = argparse.SUPPRESS
 
 
 class UsageError(Exception):
@@ -66,15 +71,21 @@ def _build_backend(selector: str):
 # the AnchoringConfig fields each mode reads, and the flag that sets each field
 _MODE_FIELDS = {"off": (), "fixed": ("omega", "top_k"), "confidence": ("lam",)}
 _FIELD_FLAGS = {"omega": "--omega", "lam": "--lambda", "top_k": "--top-k"}
+_DELIMITERS = ("open_delim", "close_delim")  # parse_markup's and evaluate's parameters
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` (dests) given on the command line, for the call whose parameters they name."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def _anchoring_config(args) -> AnchoringConfig:
-    given = {k: getattr(args, k) for k in _FIELD_FLAGS if getattr(args, k) is not None}
-    unread = [k for k in given if k not in _MODE_FIELDS[args.mode]]
+    mode = getattr(args, "mode", AnchoringConfig.mode)
+    unread = [k for k in _given(args, _FIELD_FLAGS) if k not in _MODE_FIELDS[mode]]
     if unread:
-        raise UsageError(f"{_FIELD_FLAGS[unread[0]]} conflicts with --mode {args.mode}")
-    try:  # only the flags given are passed, so AnchoringConfig holds every default
-        return AnchoringConfig(mode=args.mode, **given)
+        raise UsageError(f"{_FIELD_FLAGS[unread[0]]} conflicts with --mode {mode}")
+    try:
+        return AnchoringConfig(**_given(args, ("mode", *_FIELD_FLAGS)))
     except ValueError as exc:  # a config the flags describe is a usage error
         raise UsageError(str(exc)) from exc
 
@@ -84,12 +95,12 @@ def _add_backend_flags(p):
 
 
 def _add_anchoring_flags(p):
-    p.add_argument("--mode", choices=["off", "fixed", "confidence"], default="fixed")
-    p.add_argument("--omega", type=float, default=None, help="anchoring strength (fixed mode)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="strength coefficient (confidence mode)")
-    p.add_argument("--top-k", type=int, default=None, help="combine only the top-k original logits")
-    p.add_argument("--anchor-open", default=DEFAULT_OPEN)
-    p.add_argument("--anchor-close", default=DEFAULT_CLOSE)
+    p.add_argument("--mode", choices=["off", "fixed", "confidence"], default=_UNSET)
+    p.add_argument("--omega", type=float, default=_UNSET, help="anchoring strength (fixed mode)")
+    p.add_argument("--lambda", dest="lam", type=float, default=_UNSET, help="strength coefficient (confidence mode)")
+    p.add_argument("--top-k", type=int, default=_UNSET, help="combine only the top-k original logits")
+    p.add_argument("--anchor-open", dest="open_delim", metavar="ANCHOR_OPEN", default=_UNSET)
+    p.add_argument("--anchor-close", dest="close_delim", metavar="ANCHOR_CLOSE", default=_UNSET)
 
 
 def build_parser() -> _Parser:
@@ -102,7 +113,7 @@ def build_parser() -> _Parser:
     _add_backend_flags(g)
     _add_anchoring_flags(g)
     g.add_argument("--prompt", required=True, help="prompt text with anchor markup")
-    g.add_argument("--max-new", type=int, default=64)
+    g.add_argument("--max-new", dest="max_new_tokens", metavar="MAX_NEW", type=int, default=_UNSET)
     g.add_argument("--trace", help="write a per-step NDJSON trace here")
     g.add_argument("--attention", action="store_true", help="capture attention rows")
     g.add_argument("--json", action="store_true")
@@ -111,13 +122,14 @@ def build_parser() -> _Parser:
     t.set_defaults(run=_cmd_tune)
     _add_backend_flags(t)
     t.add_argument("--corpus", required=True)
-    t.add_argument("--folds", type=int, default=None)
-    t.add_argument("--tune-seed", type=int, default=None)
-    t.add_argument("--grid", help="comma-separated ascending omega values (must include 1.0)")
-    t.add_argument("--no-early-exit", action="store_true")
-    t.add_argument("--invert-folds", action="store_true", help="tune on k-1 folds instead of 1")
-    t.add_argument("--max-new", type=int, default=32)
-    t.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
+    t.add_argument("--folds", type=int, default=_UNSET)
+    t.add_argument("--tune-seed", dest="seed", metavar="TUNE_SEED", type=int, default=_UNSET)
+    t.add_argument("--grid", default=_UNSET, help="comma-separated ascending omega values (must include 1.0)")
+    t.add_argument("--no-early-exit", dest="early_exit", action="store_false", default=_UNSET)
+    t.add_argument("--invert-folds", dest="invert", action="store_true", default=_UNSET,
+                   help="tune on k-1 folds instead of 1")
+    t.add_argument("--max-new", dest="max_new_tokens", metavar="MAX_NEW", type=int, default=32)
+    t.add_argument("--timeout-ms", type=int, default=_UNSET)
     t.add_argument("--out", help="write the tune report JSON here")
     t.add_argument("--json", action="store_true")
 
@@ -126,12 +138,12 @@ def build_parser() -> _Parser:
     _add_backend_flags(e)
     _add_anchoring_flags(e)
     policy = e.add_mutually_exclusive_group()  # a beam run has no baseline to gate on
-    policy.add_argument("--activation", choices=["always", "on_test_failure"], default=None)
-    policy.add_argument("--beam", type=int, default=None, help="beam width for Pass@k")
+    policy.add_argument("--activation", choices=["always", "on_test_failure"], default=_UNSET)
+    policy.add_argument("--beam", dest="beam_k", metavar="BEAM", type=int, default=_UNSET, help="beam width for Pass@k")
     e.add_argument("--corpus", required=True)
-    e.add_argument("--max-new", type=int, default=32)
-    e.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
-    e.add_argument("--workers", type=int, default=1)
+    e.add_argument("--max-new", dest="max_new_tokens", metavar="MAX_NEW", type=int, default=32)
+    e.add_argument("--timeout-ms", type=int, default=_UNSET)
+    e.add_argument("--workers", type=int, default=_UNSET)
     e.add_argument("--out", help="write the report JSON here")
     e.add_argument("--csv", help="write the per-task CSV summary here")
     e.add_argument("--json", action="store_true")
@@ -144,14 +156,14 @@ def build_parser() -> _Parser:
     _add_backend_flags(ad)
     _add_anchoring_flags(ad)
     ad.add_argument("--prompt", required=True)
-    ad.add_argument("--max-new", type=int, default=32)
+    ad.add_argument("--max-new", dest="max_new_tokens", metavar="MAX_NEW", type=int, default=32)
     ad.add_argument("--out", help="CSV output path (default stdout)")
 
     ag = asub.add_parser("gradients", help="finite-difference token sensitivity")
     ag.set_defaults(run=_cmd_gradients)
     _add_backend_flags(ag)
     ag.add_argument("--prompt", required=True, help="plain prompt text (no markup)")
-    ag.add_argument("--delta", type=float, default=1e-3)
+    ag.add_argument("--delta", type=float, default=_UNSET)
     ag.add_argument("--out", help="CSV output path (default stdout)")
 
     al = asub.add_parser("lengths", help="passed-vs-failed generation lengths")
@@ -163,8 +175,8 @@ def build_parser() -> _Parser:
     s = sub.add_parser("serve", help="serve the toy backend over the wire protocol")
     s.set_defaults(run=_cmd_serve)
     _add_backend_flags(s)
-    s.add_argument("--host", default="127.0.0.1")
-    s.add_argument("--port", type=int, default=0)
+    s.add_argument("--host", default=_UNSET)
+    s.add_argument("--port", type=int, default=_UNSET)
 
     return parser
 
@@ -183,8 +195,8 @@ def _emit(args, report, lines) -> None:
 
 
 def _decode_prompt(args, backend, want_attention: bool):
-    spec = parse_markup(args.prompt, args.anchor_open, args.anchor_close)
-    limits = DecodeLimits(args.max_new)
+    spec = parse_markup(args.prompt, **_given(args, _DELIMITERS))
+    limits = DecodeLimits(**_given(args, ("max_new_tokens",)))
     return anchored_decode(backend, spec, _anchoring_config(args), limits, want_attention=want_attention)
 
 
@@ -217,26 +229,20 @@ def _cmd_generate(args, backend) -> int:
 def _cmd_tune(args, backend) -> int:
     corpus = load_corpus(args.corpus)
     by_id = {t.id: t for t in corpus}
-    limits = DecodeLimits(args.max_new)
-    given = {"folds": args.folds, "seed": args.tune_seed}
-    if args.grid is not None:  # an empty --grid is given, and rejected
+    limits = DecodeLimits(args.max_new_tokens)
+    given = _given(args, ("grid", "folds", "seed", "early_exit", "invert"))
+    if "grid" in given:  # an empty --grid is given, and rejected
         try:
             given["grid"] = tuple(float(x) for x in args.grid.split(","))
         except ValueError:
             raise ValueError(f"--grid {args.grid!r} must be comma-separated numbers") from None
-    if args.no_early_exit:
-        given["early_exit"] = False
-    if args.invert_folds:
-        given["invert"] = True
-    # only the flags given are passed, so TuneSpec holds every default
-    spec = TuneSpec(**{k: v for k, v in given.items() if v is not None})
+    spec = TuneSpec(**given)
 
     def evaluator(omega, task_ids):
         # tuning anchors every task; failure gating is an inference-time policy
         config = AnchoringConfig(mode="fixed", omega=omega)
-        report = evaluate(
-            backend, [by_id[t] for t in task_ids], config, limits, activation="always", timeout_ms=args.timeout_ms
-        )
+        tasks = [by_id[t] for t in task_ids]
+        report = evaluate(backend, tasks, config, limits, activation="always", **_given(args, ("timeout_ms",)))
         return report.pass_at_1
 
     report = grid_search(evaluator, sorted(by_id), spec)
@@ -248,19 +254,8 @@ def _cmd_tune(args, backend) -> int:
 
 def _cmd_eval(args, backend) -> int:
     corpus = load_corpus(args.corpus)
-    given = {} if args.activation is None else {"activation": args.activation}  # evaluate holds the default
-    report = evaluate(
-        backend,
-        corpus,
-        _anchoring_config(args),
-        DecodeLimits(args.max_new),
-        beam_k=args.beam,
-        **given,
-        timeout_ms=args.timeout_ms,
-        workers=args.workers,
-        open_delim=args.anchor_open,
-        close_delim=args.anchor_close,
-    )
+    runs = _given(args, ("beam_k", "activation", "timeout_ms", "workers", *_DELIMITERS))
+    report = evaluate(backend, corpus, _anchoring_config(args), DecodeLimits(args.max_new_tokens), **runs)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fp:
             report.write_csv(fp)
@@ -278,7 +273,7 @@ def _cmd_dilution(args, backend) -> int:
 
 
 def _cmd_gradients(args, backend) -> int:
-    scores = gradient_attention(backend, backend.vocab.tokenize(args.prompt), delta=args.delta)
+    scores = gradient_attention(backend, backend.vocab.tokenize(args.prompt), **_given(args, ("delta",)))
     with _output(args.out) as fp:
         fp.write("position,score\n")
         for i, s in enumerate(scores.tolist()):
@@ -295,17 +290,20 @@ def _cmd_lengths(args, backend) -> int:
         for entry in report["tasks"]:  # each field as EvalReport.to_json writes it
             if not (isinstance(entry["final_passed"], bool) and isinstance(entry["id"], str)):
                 raise TypeError("final_passed must be a bool and id a string")
-            rows.append((entry["generated_len"], entry["final_passed"], difficulty.get(entry["id"], "overall")))
+            rows.append((entry["generated_len"], entry["final_passed"], difficulty.get(entry["id"])))
         cells = length_stats(rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{args.report} is not an eval report: {exc!r}") from exc
+    unknown = [entry["id"] for entry in report["tasks"] if entry["id"] not in difficulty]
+    if unknown:  # a report of another corpus: its tasks have no difficulty here to be bucketed by
+        raise ValueError(f"task {unknown[0]!r} of {args.report} is not in {args.corpus}")
     with _output(args.out) as fp:
         write_length_stats_csv(cells, fp)
     return 0
 
 
 def _cmd_serve(args, backend) -> int:
-    with LogitServer(backend, args.host, args.port) as server:
+    with LogitServer(backend, **_given(args, ("host", "port"))) as server:
         host, port = server.address
         print(f"serving on {host}:{port}", flush=True)
         try:

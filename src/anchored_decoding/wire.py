@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import re
 import socket
 import socketserver
 import threading
@@ -37,6 +38,19 @@ _ERRORS = ((MaskIndexError, "bad_mask_index"), (CapacityError, "context_too_long
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+# values as _fmt writes finite floats, joined by spaces; [0-9], since re's \d also matches other scripts' digits
+_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]{2,3})?"
+_NUMBERS = re.compile(rf"{_NUMBER}(?: {_NUMBER})*")
+
+
+def _parse_numbers(values) -> np.ndarray:
+    """A list of strings as _fmt writes them -> their floats. Anything else raises, though float() takes much of
+    it: a JSON number or bool, blanks, underscores, other scripts' digits."""
+    if not (type(values) is list and _NUMBERS.fullmatch(" ".join(values))):  # join: TypeError on a non-string
+        raise ValueError("values must be a list of decimal strings")
+    return np.array([float(v) for v in values])
 
 
 def _reply(**fields) -> dict:
@@ -205,11 +219,14 @@ class RemoteBackend:
     def _meta(self) -> tuple[VocabSpec, int]:
         meta = self._request({"v": PROTOCOL_VERSION, "op": "meta"})
         try:
+            pairs = meta.get("token_strings")  # null or absent: an opaque vocabulary
+            if pairs is not None and not all(is_int(i) and i == n for n, (i, _) in enumerate(pairs)):
+                raise ValueError("token_strings must be [id, string] pairs, ids 0..V-1 in order")
             vocab = VocabSpec(
                 size=meta["vocab_size"],
                 mask_id=meta["mask_id"],
                 stop_ids=frozenset(meta["stop_ids"]),
-                token_strings=dict(meta["token_strings"]) if meta.get("token_strings") else None,
+                token_strings=None if pairs is None else dict(pairs),
             )
             if not (is_int(meta["max_positions"]) and meta["max_positions"] >= 1):  # score() checks against it
                 raise ValueError("max_positions must be a positive int")
@@ -257,8 +274,8 @@ class RemoteBackend:
             pairs, attention = resp["logits"], resp["attention"]
             if [i for i, _ in pairs] != self._ids:  # what handle_request writes without top_k
                 raise ValueError("logit ids must be the strings 0..V-1 in order")
-            logits = np.array([float(v) for _, v in pairs])
-            att = None if attention is None else np.array([float(a) for a in attention])
+            logits = _parse_numbers([v for _, v in pairs])
+            att = None if attention is None else _parse_numbers(attention)
             if not np.isfinite(logits).all() or (att is None) == bool(want_attention):
                 raise ValueError("logits must be finite, and attention given exactly when asked for")
             if att is not None and not (att.shape == tokens.shape and np.isfinite(att).all()):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import socket
 
@@ -6,7 +7,7 @@ import pytest
 
 from anchored_decoding import LogitServer, RemoteBackend, __version__
 from anchored_decoding.attention_analysis import gradient_attention
-from anchored_decoding.cli import _build_backend, main
+from anchored_decoding.cli import _build_backend, build_parser, main
 
 from conftest import make_backend
 
@@ -68,6 +69,36 @@ def test_generate_matches_module_calls(capsys):
     assert code == 0
     text = backend.vocab.detokenize(trace.generated_tokens)
     assert out == f"tokens: {trace.generated_tokens}\ntext: {text!r}\nfinished: {trace.finished_reason}\n"
+
+
+def test_flags_have_no_default_but_the_cli_owned_ones():
+    # a flag that sets a library parameter has no default (argparse.SUPPRESS):
+    # absent, it sets no attribute, so the library's own default holds
+    defaults = {}
+
+    def walk(parser, path):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, (*path, name))
+            elif action.option_strings and not action.required and action.dest not in ("help", "version"):
+                defaults[(*path, action.dest)] = action.default
+
+    walk(build_parser(), ())
+    owned = {key: default for key, default in defaults.items() if default is not argparse.SUPPRESS}
+    backend, outputs = "toy:seed=0", {"out": None, "json": False}
+    assert owned == {
+        **{(*cmd, "backend"): backend for cmd in (["generate"], ["tune"], ["eval"], ["analyze", "dilution"],
+                                                   ["analyze", "gradients"], ["serve"])},
+        **{(*cmd, "max_new_tokens"): 32 for cmd in (["tune"], ["eval"], ["analyze", "dilution"])},
+        ("generate", "trace"): None, ("generate", "attention"): False, ("generate", "json"): False,
+        **{("tune", k): v for k, v in outputs.items()},
+        **{("eval", k): v for k, v in outputs.items()}, ("eval", "csv"): None,
+        **{("analyze", cmd, "out"): None for cmd in ("dilution", "gradients", "lengths")},
+    }
+    # every other flag is absent unless given
+    args = build_parser().parse_args(["eval", "--corpus", "c.jsonl"])
+    assert sorted(vars(args)) == ["backend", "command", "corpus", "csv", "json", "max_new_tokens", "out", "run"]
 
 
 def test_conflicting_flags_usage_error(capsys):
@@ -418,3 +449,13 @@ def test_analyze_lengths_csv(capsys, tmp_path):
         bad_path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "analyze", "lengths", "--report", str(bad_path), "--corpus", str(corpus))
         assert code == 2 and out == "" and str(bad_path) in err, (doc, err)
+    # a report of another corpus: a task whose id the corpus lacks has no difficulty to be bucketed by
+    doc = json.loads(report_path.read_text())
+    doc["tasks"][-1]["id"] = "not-in-corpus"
+    bad_path.write_text(json.dumps(doc))
+    out_path.unlink()
+    code, out, err = run_cli(
+        capsys, "analyze", "lengths", "--report", str(bad_path), "--corpus", str(corpus), "--out", str(out_path)
+    )
+    assert code == 2 and out == "" and "'not-in-corpus'" in err and str(corpus) in err
+    assert not out_path.exists()

@@ -1,5 +1,6 @@
 import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -55,9 +56,13 @@ def raw_roundtrip(server, payload: str) -> dict:
         return json.loads(f.readline())
 
 
+RESET = object()  # a StubServer reply: reset the connection instead of answering
+
+
 class StubServer:
     """One-connection server that answers meta with ``meta`` and every other
-    request with ``reply``, however malformed."""
+    request with ``reply``, however malformed: bytes are sent as they are, and
+    RESET resets the connection."""
 
     def __init__(self, meta: dict, reply: dict | None = None):
         self._listener = socket.create_server(("127.0.0.1", 0))
@@ -71,7 +76,10 @@ class StubServer:
         with conn, conn.makefile("rwb") as f:
             for line in f:
                 resp = meta if json.loads(line)["op"] == "meta" else reply
-                f.write((json.dumps(resp) + "\n").encode())
+                if resp is RESET:  # closing with a zero linger time sends RST
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                    return
+                f.write(resp if isinstance(resp, bytes) else (json.dumps(resp) + "\n").encode())
                 f.flush()
 
     def __enter__(self):
@@ -110,11 +118,23 @@ def test_meta(remote, server, server_backend):
     ):
         with StubServer(dict(meta, **bad)) as stub, pytest.raises(TransportError, match="malformed meta"):
             RemoteBackend(*stub.address, timeout=5)
-    # surface strings that skip an id or give one no text: detokenize would raise or lose the bijection
+    # surface strings that skip an id or give one no text: detokenize would raise or lose the bijection;
+    # none at all, or ids repeated, out of order or off the int rule: only null or no field means opaque
     strings = meta["token_strings"]
-    for bad in ([p for p in strings if p[0] != 3], [[i, "" if i == 3 else s] for i, s in strings]):
+    for bad in (
+        [p for p in strings if p[0] != 3],
+        [[i, "" if i == 3 else s] for i, s in strings],
+        [],
+        False,
+        [[0, "zz"]] + strings,
+        [strings[1], strings[0]] + strings[2:],
+        [[float(i), s] for i, s in strings],
+    ):
         with StubServer(dict(meta, token_strings=bad)) as stub, pytest.raises(TransportError, match="malformed meta"):
             RemoteBackend(*stub.address, timeout=5)
+    without = {k: v for k, v in meta.items() if k != "token_strings"}
+    with StubServer(without) as stub, RemoteBackend(*stub.address, timeout=5) as rb:
+        assert rb.vocab.token_strings is None and rb.vocab.size == server_backend.vocab.size
 
 
 def test_meta_without_surface_strings_gives_opaque_vocab():
@@ -418,6 +438,15 @@ MALFORMED_SCORE_REPLIES = {  # each made from a good full-vector reply
     "asked attention missing": lambda good: dict(good, attention=None),
     "asked attention of 5 for 2 tokens": lambda good: dict(good, attention=good["attention"] + ["0"] * 3),
     "asked attention with nan": lambda good: dict(good, attention=["nan"] + good["attention"][1:]),
+    # values float() takes but _fmt never writes
+    "a logit true": lambda good: dict(good, logits=[["0", True]] + [[i, " 1_0 "] for i, _ in good["logits"][1:]]),
+    "padded logits": lambda good: dict(good, logits=[[i, f" {v} "] for i, v in good["logits"]]),
+    "underscored logits": lambda good: dict(good, logits=[[i, "1_0"] for i, _ in good["logits"]]),
+    "logits as JSON numbers": lambda good: dict(good, logits=[[i, float(v)] for i, v in good["logits"]]),
+    "an Arabic-Indic digit": lambda good: dict(good, logits=[["0", "\u0661"]] + good["logits"][1:]),
+    "an upper-case exponent": lambda good: dict(good, logits=[["0", "1E+05"]] + good["logits"][1:]),
+    "asked attention as JSON numbers": lambda good: dict(good, attention=[float(a) for a in good["attention"]]),
+    "asked attention as a string": lambda good: dict(good, attention="11"),
 }
 
 
@@ -432,6 +461,17 @@ def test_malformed_score_reply_is_transport_error(server_backend, case):
         with pytest.raises(DecodeError):
             config = AnchoringConfig(mode="fixed", omega=1.25)
             anchored_decode(rb, parse_markup("ab⟦cd⟧"), config, DecodeLimits(4), want_attention=want)
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [(b"not json\n", "invalid JSON"), (b"\xff\xfe\n", "invalid JSON"), (RESET, "transport failure")],
+)
+def test_broken_reply_is_transport_error(server_backend, reply, message):
+    meta = handle_request(server_backend, json.dumps({"v": 1, "op": "meta"}))
+    with StubServer(meta, reply) as stub, RemoteBackend(*stub.address, timeout=5) as rb:
+        with pytest.raises(TransportError, match=message):
+            rb.score([3, 4])
 
 
 def test_connect_failure_raises_transport_error():
