@@ -15,7 +15,7 @@ import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .anchoring import (
     DEFAULT_CLOSE, DEFAULT_OPEN, AnchoringConfig, check_delimiters, is_int, parse_markup, resolve_anchors,
@@ -28,6 +28,8 @@ MAX_OUTPUT_BYTES = 1 << 16  # of a test's output kept in its TestOutcome
 MAX_FILE_BYTES = 1 << 24  # per file a test writes, its output file included (RLIMIT_FSIZE)
 
 _TASK_FIELDS = {"id", "prompt", "tests", "entry_check", "difficulty"}
+# The eval report's keys that differ from their TaskRecord/EvalReport field names
+_REPORT_KEYS = {"records": "tasks", "task_id": "id", "candidate_outcomes": "candidates"}
 DEFAULT_TEST_FILE = "solution.txt"  # where a test without a file finds the program
 
 # Each test runs in a process group of its own, so its end can kill every
@@ -98,28 +100,10 @@ class EvalReport:
     wall_seconds: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tasks": [
-                    {
-                        "id": r.task_id,
-                        "baseline_passed": r.baseline_passed,
-                        "anchored_passed": r.anchored_passed,
-                        "final_passed": r.final_passed,
-                        "candidates": r.candidate_outcomes,
-                        "generated_len": r.generated_len,
-                        "error": r.error,
-                    }
-                    for r in self.records
-                ],
-                "pass_at_1": self.pass_at_1,
-                "pass_at_k": {str(k): v for k, v in self.pass_at_k.items()},
-                "bucket_pass1": self.bucket_pass1,
-                "bucket_counts": self.bucket_counts,
-                "wall_seconds": self.wall_seconds,
-            },
-            indent=2,
-        )
+        """Every field in field order, under its own name unless _REPORT_KEYS renames it."""
+        doc = asdict(self)
+        doc["records"] = [{_REPORT_KEYS.get(k, k): v for k, v in r.items()} for r in doc["records"]]
+        return json.dumps({_REPORT_KEYS.get(k, k): v for k, v in doc.items()}, indent=2)
 
     def write_csv(self, fp) -> None:
         w = csv.writer(fp)
@@ -385,7 +369,7 @@ def evaluate(
     p1 = pass_at_k(outcome_matrix, 1)
     pk = {1: p1}
     if beam_k is not None:
-        pk[beam_k] = pass_at_k(outcome_matrix, beam_k)
+        pk[int(beam_k)] = pass_at_k(outcome_matrix, beam_k)  # a numpy int is no JSON key
 
     bucket_pass1: dict[str, float] = {}
     bucket_counts: dict[str, int] = {}

@@ -27,6 +27,9 @@ class ToyModelConfig:
     max_positions: int = 128
 
     def __post_init__(self):
+        for name in ("embed_dim", "n_layers", "n_heads", "max_positions"):  # the int rule: True is no layer count
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an int")
         if not (1 <= self.n_layers <= 4):
             raise ValueError("n_layers must be in 1..4")
         if self.embed_dim < 1 or self.n_heads < 1 or self.max_positions < 1:

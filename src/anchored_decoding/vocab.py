@@ -16,9 +16,11 @@ class VocabSpec:
     ``token_strings`` (id -> surface string) exists for the toy backend and
     for a remote backend whose server sends them: it maps every id in
     0..size-1 to a non-empty string, no two ids alike, so detokenize is
-    defined for every id and is a bijection. Without it the vocabulary is an
-    opaque id space. ``size``, ``mask_id`` and each stop id follow the int
-    rule, ``anchoring.is_int``.
+    defined for every id. tokenize never yields the mask or a stop id and
+    detokenize drops them, so detokenize(tokenize(text)) == text for every
+    text tokenize accepts. Without it the vocabulary is an opaque id space.
+    ``size``, ``mask_id`` and each stop id follow the int rule,
+    ``anchoring.is_int``.
     """
 
     size: int
@@ -53,11 +55,12 @@ class VocabSpec:
         return VocabSpec(size=size, mask_id=0, stop_ids=frozenset({1}), token_strings=strings)
 
     def tokenize(self, text: str) -> list[int]:
-        """Greedy longest-match tokenization; raises naming the untokenizable tail."""
+        """Greedy longest-match tokenization; raises naming the untokenizable tail.
+        Text never yields the mask or a stop id: their surface strings are not in the table."""
         if self.token_strings is None:
             raise ValueError("vocabulary has no surface strings")
-        table = {s: i for i, s in self.token_strings.items()}
-        max_len = max(len(s) for s in table)
+        table = {s: i for i, s in self.token_strings.items() if i != self.mask_id and i not in self.stop_ids}
+        max_len = max(map(len, table), default=0)
         out: list[int] = []
         pos = 0
         while pos < len(text):

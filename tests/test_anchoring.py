@@ -87,6 +87,20 @@ def test_resolve_untokenizable():
         resolve_anchors(PromptSpec((("aZZ", True),)), VOCAB)
 
 
+def test_tokenize_never_yields_reserved_ids():
+    # the surface strings of the mask and stop tokens are not prompt text:
+    # a vocabulary without their characters refuses them, one with them reads characters
+    for text in ("ab<eos>", "a<mask>b"):
+        with pytest.raises(ValueError, match="cannot tokenize substring '<"):
+            VOCAB.tokenize(text)
+    wide = VocabSpec.toy(52)
+    text = "a<mask>b<eos>"
+    tokens = wide.tokenize(text)
+    assert wide.mask_id not in tokens and not wide.stop_ids & set(tokens)
+    assert tokens == [wide.tokenize(c)[0] for c in text]
+    assert wide.detokenize(tokens) == text
+
+
 # -- masking -----------------------------------------------------------------
 
 

@@ -308,10 +308,13 @@ def test_beam_width_one_equals_anchored_greedy(backend):
     )
     cases = [(backend, "ab⟦cd⟧")] + [(make_backend(seed=seed), "ab⟦cd⟧") for seed in range(6)]
     short = make_backend(seed=0, max_positions=7)  # 4 prompt tokens: the capacity ends each decode at 3
-    cases += [(short, "ab⟦cd⟧"), (backend, "ab⟦cd⟧<eos>")]  # the second prompt ends on the stop token
+    cases = [(b, parse_markup(text)) for b, text in cases + [(short, "ab⟦cd⟧")]]
+    # a prompt that ends on the stop token: text never tokenizes to one, so it comes pre-resolved
+    tokens, res = resolve_anchors(parse_markup("ab⟦cd⟧"), backend.vocab)
+    on_stop = (tokens + [min(backend.vocab.stop_ids)], AnchorResolution(res.token_positions, len(tokens) + 1))
+    cases.append((backend, on_stop))
     reasons = set()
-    for b, text in cases:
-        prompt = parse_markup(text)
+    for b, prompt in cases:
         for config in configs:
             beams = beam_search_anchored(b, prompt, config, 1, LIMITS)
             trace = anchored_decode(b, prompt, config, LIMITS)
@@ -321,10 +324,10 @@ def test_beam_width_one_equals_anchored_greedy(backend):
             reasons.add(trace.finished_reason)
             if b is short:
                 assert len(trace.prompt_tokens) + len(trace.steps) == short.max_positions
-            if text.endswith("<eos>"):
+            if prompt is on_stop:
                 assert trace.steps  # a stop token in the prompt does not end the decode
             # score recomputation from original log-probs
-            ctx, _ = resolve_anchors(prompt, b.vocab)
+            ctx = list(on_stop[0]) if prompt is on_stop else resolve_anchors(prompt, b.vocab)[0]
             total = 0.0
             for t in beams[0].tokens:
                 total += float(np.log(softmax(b.score(ctx).logits))[t])

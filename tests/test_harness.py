@@ -20,7 +20,9 @@ from anchored_decoding import (
 )
 from anchored_decoding import harness
 from anchored_decoding.harness import (
+    EvalReport,
     Task,
+    TaskRecord,
     bucket_by_length,
     evaluate,
     load_corpus,
@@ -645,3 +647,78 @@ def test_report_json_and_csv(backend, tmp_path):
     buf = io.StringIO()
     report.write_csv(buf)
     assert buf.getvalue().startswith("task_id,baseline_passed")
+
+
+def test_report_json_and_csv_bytes():
+    # the bytes eval --json, --out and --csv write: key names and order, indentation, pass_at_k's string keys
+    report = EvalReport(
+        records=[
+            TaskRecord("a", False, True, True, [True], 5),
+            TaskRecord("b", None, None, False, [False, False], 0, error="unterminated anchored span"),
+        ],
+        pass_at_1=0.5,
+        pass_at_k={1: 0.5, 3: 1.0},
+        bucket_pass1={"Short": 1.0, "Long": 0.0},
+        bucket_counts={"Short": 1, "Medium": 0, "Long": 1},
+        wall_seconds=0.25,
+    )
+    assert report.to_json() == """{
+  "tasks": [
+    {
+      "id": "a",
+      "baseline_passed": false,
+      "anchored_passed": true,
+      "final_passed": true,
+      "candidates": [
+        true
+      ],
+      "generated_len": 5,
+      "error": null
+    },
+    {
+      "id": "b",
+      "baseline_passed": null,
+      "anchored_passed": null,
+      "final_passed": false,
+      "candidates": [
+        false,
+        false
+      ],
+      "generated_len": 0,
+      "error": "unterminated anchored span"
+    }
+  ],
+  "pass_at_1": 0.5,
+  "pass_at_k": {
+    "1": 0.5,
+    "3": 1.0
+  },
+  "bucket_pass1": {
+    "Short": 1.0,
+    "Long": 0.0
+  },
+  "bucket_counts": {
+    "Short": 1,
+    "Medium": 0,
+    "Long": 1
+  },
+  "wall_seconds": 0.25
+}"""
+    import io
+
+    buf = io.StringIO()
+    report.write_csv(buf)
+    assert buf.getvalue() == (
+        "task_id,baseline_passed,anchored_passed,final_passed\r\n"
+        "a,False,True,True\r\n"
+        "b,,,False\r\n"
+    )
+
+
+def test_report_numpy_beam_k(backend):
+    # a numpy int is an int by the int rule; the report still writes its pass@k key
+    p = "ab⟦cd⟧"
+    corpus = [make_task("t0", p, baseline_program(backend, p), passing=True)]
+    report = evaluate(backend, corpus, FIXED, LIMITS, beam_k=np.int64(2))
+    assert list(report.pass_at_k) == [1, 2]
+    assert list(json.loads(report.to_json())["pass_at_k"]) == ["1", "2"]

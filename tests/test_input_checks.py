@@ -36,6 +36,20 @@ CASES = {
     "zero embed_dim": (
         lambda: ToyModelConfig(seed=0, vocab=VocabSpec.toy(16), embed_dim=0), ValueError, "dimensions must be positive"
     ),
+    "bool n_layers": (
+        lambda: ToyModelConfig(seed=0, vocab=VocabSpec.toy(16), n_layers=True), ValueError, "n_layers must be an int"
+    ),
+    "float n_heads": (
+        lambda: ToyModelConfig(seed=0, vocab=VocabSpec.toy(16), n_heads=2.0), ValueError, "n_heads must be an int"
+    ),
+    "float embed_dim": (
+        lambda: ToyModelConfig(seed=0, vocab=VocabSpec.toy(16), embed_dim=32.0), ValueError, "embed_dim must be an int"
+    ),
+    "bool max_positions": (
+        lambda: ToyModelConfig(seed=0, vocab=VocabSpec.toy(16), max_positions=True),
+        ValueError,
+        "max_positions must be an int",
+    ),
     "toy vocab past the alphabet": (lambda: VocabSpec.toy(60), ValueError, "alphabet too small"),
     "tokenize opaque": (lambda: OPAQUE.tokenize("ab"), ValueError, "no surface strings"),
     "detokenize opaque": (lambda: OPAQUE.detokenize([2, 3]), ValueError, "no surface strings"),
