@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import sys
 
@@ -275,9 +276,9 @@ def _cmd_dilution(args, backend) -> int:
 def _cmd_gradients(args, backend) -> int:
     scores = gradient_attention(backend, backend.vocab.tokenize(args.prompt), **_given(args, ("delta",)))
     with _output(args.out) as fp:
-        fp.write("position,score\n")
-        for i, s in enumerate(scores.tolist()):
-            fp.write(f"{i},{s!r}\n")
+        w = csv.writer(fp)  # str of a float is its repr: every digit gradient_attention computed
+        w.writerow(["position", "score"])
+        w.writerows(enumerate(scores.tolist()))
     return 0
 
 

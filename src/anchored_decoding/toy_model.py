@@ -27,9 +27,12 @@ class ToyModelConfig:
     max_positions: int = 128
 
     def __post_init__(self):
-        for name in ("embed_dim", "n_layers", "n_heads", "max_positions"):  # the int rule: True is no layer count
+        # the int rule: True is no layer count and no seed
+        for name in ("seed", "embed_dim", "n_layers", "n_heads", "max_positions"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an int")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (1 <= self.n_layers <= 4):
             raise ValueError("n_layers must be in 1..4")
         if self.embed_dim < 1 or self.n_heads < 1 or self.max_positions < 1:
@@ -126,29 +129,30 @@ class ToyBackend:
         """Run the stack on embedded input (T, d); returns (final logits, attention row).
 
         The attention row is the last layer's final-position row averaged over
-        heads (kept a probability vector by the arithmetic mean).
+        heads (kept a probability vector by the arithmetic mean). Nothing else
+        of the last layer is read, so past its keys and values it runs for the
+        final position alone.
         """
         cfg = self.config
         T, d = h.shape
         hd = d // cfg.n_heads
         causal = np.tril(np.ones((T, T), dtype=bool))
-        last_row = None
         for li, p in enumerate(self.layers):
             x = _layernorm(h)
-            q = (x @ p["wq"]).reshape(T, cfg.n_heads, hd)
             k = (x @ p["wk"]).reshape(T, cfg.n_heads, hd)
             v = (x @ p["wv"]).reshape(T, cfg.n_heads, hd)
+            if li == len(self.layers) - 1:  # keep only the row the logits read
+                h, x, causal = h[-1:], x[-1:], causal[-1:]
+            q = (x @ p["wq"]).reshape(len(x), cfg.n_heads, hd)
             scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(hd)
             scores = np.where(causal[None, :, :], scores, -np.inf)
             attn = softmax(scores)
-            ctx = np.einsum("hqk,khd->qhd", attn, v).reshape(T, d)
+            ctx = np.einsum("hqk,khd->qhd", attn, v).reshape(len(x), d)
             h = h + ctx @ p["wo"]
             x = _layernorm(h)
             h = h + np.tanh(x @ p["w1"]) @ p["w2"]
-            if li == len(self.layers) - 1:
-                last_row = attn[:, -1, :].mean(axis=0)
         logits = _layernorm(h[-1]) @ self.unembed
-        return logits, last_row
+        return logits, attn[:, -1, :].mean(axis=0)
 
     # -- public API ---------------------------------------------------------
 

@@ -5,9 +5,10 @@ import pytest
 
 from anchored_decoding import RemoteBackend
 from anchored_decoding import ToyBackend, ToyModelConfig, VocabSpec
+from anchored_decoding.anchoring import softmax
 from anchored_decoding.errors import CapacityError
 from anchored_decoding.errors import MaskIndexError
-from anchored_decoding.toy_model import top_k_pairs
+from anchored_decoding.toy_model import _layernorm, top_k_pairs
 from anchored_decoding.wire import handle_request
 
 from conftest import make_backend
@@ -89,6 +90,49 @@ def test_forward_matches_independent_oracle():
         got = backend.score(tokens).logits
         want = oracle_forward(backend, tokens)
         assert np.allclose(got, want, atol=1e-6)
+
+
+def all_rows_forward(backend, h):
+    """The toy forward with every layer computed for every row: (logits, attention row)."""
+    cfg = backend.config
+    T, d = h.shape
+    hd = d // cfg.n_heads
+    causal = np.tril(np.ones((T, T), dtype=bool))
+    last_row = None
+    for li, p in enumerate(backend.layers):
+        x = _layernorm(h)
+        q = (x @ p["wq"]).reshape(T, cfg.n_heads, hd)
+        k = (x @ p["wk"]).reshape(T, cfg.n_heads, hd)
+        v = (x @ p["wv"]).reshape(T, cfg.n_heads, hd)
+        scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(hd)
+        scores = np.where(causal[None, :, :], scores, -np.inf)
+        attn = softmax(scores)
+        ctx = np.einsum("hqk,khd->qhd", attn, v).reshape(T, d)
+        h = h + ctx @ p["wo"]
+        x = _layernorm(h)
+        h = h + np.tanh(x @ p["w1"]) @ p["w2"]
+        if li == len(backend.layers) - 1:
+            last_row = attn[:, -1, :].mean(axis=0)
+    return _layernorm(h[-1]) @ backend.unembed, last_row
+
+
+def test_final_row_forward_matches_all_rows(rng):
+    # the forward may skip work no output reads; what it returns stays that of the all-rows stack
+    for n_layers in range(1, 5):
+        backend = make_backend(
+            seed=n_layers, vocab_size=32, embed_dim=32, n_layers=n_layers, n_heads=4, max_positions=256
+        )
+        for T in (1, 2, 37, 256):
+            ctx = rng.integers(0, backend.vocab.size, size=T).tolist()
+            masks = frozenset(int(i) for i in rng.choice(T, size=int(rng.integers(0, min(T, 5) + 1)), replace=False))
+            substituted = [backend.vocab.mask_id if i in masks else t for i, t in enumerate(ctx)]
+            want_logits, want_row = all_rows_forward(backend, backend.embed(substituted))
+            got = backend.score(ctx, masks, want_attention=True)
+            assert np.allclose(got.logits, want_logits, rtol=0, atol=1e-13)
+            assert np.allclose(got.attention, want_row, rtol=0, atol=1e-13)
+            embedded = backend.embed(ctx)
+            want_logits, _ = all_rows_forward(backend, embedded)
+            assert np.allclose(backend.forward_from_embeddings(embedded), want_logits, rtol=0, atol=1e-13)
 
 
 def test_attention_row_is_probability_vector(backend, rng):

@@ -408,6 +408,7 @@ def test_analyze_gradients_csv(capsys, tmp_path):
     want = gradient_attention(backend, backend.vocab.tokenize("abcd")).tolist()
     assert [line.split(",") for line in lines[1:]] == [[str(i), repr(w)] for i, w in enumerate(want)]
     assert [float(line.split(",")[1]) for line in lines[1:]] == want
+    assert all(line.endswith(b"\r\n") for line in out_path.read_bytes().splitlines(keepends=True))  # as csv writes
     code, _, err = run_cli(capsys, "analyze", "gradients", "--backend", BACKEND, "--prompt", "")
     assert code == 2
     assert "non-empty" in err

@@ -50,6 +50,10 @@ CASES = {
         ValueError,
         "max_positions must be an int",
     ),
+    "bool seed": (lambda: ToyModelConfig(seed=True, vocab=VocabSpec.toy(16)), ValueError, "seed must be an int"),
+    "float seed": (lambda: ToyModelConfig(seed=1.5, vocab=VocabSpec.toy(16)), ValueError, "seed must be an int"),
+    "str seed": (lambda: ToyModelConfig(seed="3", vocab=VocabSpec.toy(16)), ValueError, "seed must be an int"),
+    "negative seed": (lambda: ToyModelConfig(seed=-1, vocab=VocabSpec.toy(16)), ValueError, "seed must be >= 0"),
     "toy vocab past the alphabet": (lambda: VocabSpec.toy(60), ValueError, "alphabet too small"),
     "tokenize opaque": (lambda: OPAQUE.tokenize("ab"), ValueError, "no surface strings"),
     "detokenize opaque": (lambda: OPAQUE.detokenize([2, 3]), ValueError, "no surface strings"),
