@@ -25,8 +25,13 @@ def attention_ratio(attention_row, prompt_length: int) -> float:
     the first prompt_length positions.
     """
     row = np.asarray(attention_row, dtype=np.float64)
+    # NaN passes the sum check below, [1.5, -0.5] sums to 1, and len() of a 2-d row counts its rows
+    if row.ndim != 1 or not (np.isfinite(row) & (row >= 0)).all():
+        raise ValueError("attention row must be a vector of finite, non-negative entries")
     if abs(float(row.sum()) - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"attention row sums to {row.sum()}, not 1")
+    if not is_int(prompt_length):
+        raise ValueError("prompt_length must be an int")
     if not (0 <= prompt_length <= len(row)):
         raise ValueError("prompt_length out of range")
     if prompt_length == len(row):

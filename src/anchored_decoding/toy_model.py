@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchoring import is_int, softmax
+from .anchoring import is_int
 from .errors import CapacityError, MaskIndexError
 from .vocab import VocabSpec
 
@@ -119,6 +119,7 @@ class ToyBackend:
                 }
             )
         self.unembed = u(d, v)
+        self._future = np.zeros((0, 0), dtype=bool)  # the causal mask: True above the diagonal
 
     # -- forward ------------------------------------------------------------
 
@@ -136,18 +137,26 @@ class ToyBackend:
         cfg = self.config
         T, d = h.shape
         hd = d // cfg.n_heads
-        causal = np.tril(np.ones((T, T), dtype=bool))
+        future = self._future  # read once: a concurrent call may replace it
+        if len(future) < T:  # grown to the longest context scored, not rebuilt per call
+            n = min(max(T, 2 * len(future)), self.max_positions)
+            self._future = future = np.triu(np.ones((n, n), dtype=bool), k=1)
+        future = future[:T, :T]
         for li, p in enumerate(self.layers):
             x = _layernorm(h)
-            k = (x @ p["wk"]).reshape(T, cfg.n_heads, hd)
-            v = (x @ p["wv"]).reshape(T, cfg.n_heads, hd)
+            # (heads, rows, hd) views, so both products below are batched BLAS calls
+            k = (x @ p["wk"]).reshape(T, cfg.n_heads, hd).transpose(1, 0, 2)
+            v = (x @ p["wv"]).reshape(T, cfg.n_heads, hd).transpose(1, 0, 2)
             if li == len(self.layers) - 1:  # keep only the row the logits read
-                h, x, causal = h[-1:], x[-1:], causal[-1:]
-            q = (x @ p["wq"]).reshape(len(x), cfg.n_heads, hd)
-            scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(hd)
-            scores = np.where(causal[None, :, :], scores, -np.inf)
-            attn = softmax(scores)
-            ctx = np.einsum("hqk,khd->qhd", attn, v).reshape(len(x), d)
+                h, x, future = h[-1:], x[-1:], future[-1:]
+            q = (x @ p["wq"]) / np.sqrt(hd)
+            attn = q.reshape(len(x), cfg.n_heads, hd).transpose(1, 0, 2) @ k.transpose(0, 2, 1)
+            # causal softmax in the one (heads, rows, T) buffer the product returned
+            np.copyto(attn, -np.inf, where=future)
+            attn -= attn.max(axis=-1, keepdims=True)
+            np.exp(attn, out=attn)
+            attn /= attn.sum(axis=-1, keepdims=True)
+            ctx = (attn @ v).transpose(1, 0, 2).reshape(len(x), d)
             h = h + ctx @ p["wo"]
             x = _layernorm(h)
             h = h + np.tanh(x @ p["w1"]) @ p["w2"]

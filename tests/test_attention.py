@@ -59,6 +59,16 @@ def test_attention_ratio_rejects_unnormalized():
         attention_ratio([0.5, 0.6], 1)
 
 
+@pytest.mark.parametrize(
+    "row", [[np.nan, 1.0], [1.0, np.nan, 0.0], [1.5, -0.5], [-0.0001, 1.0001], [np.inf, 0.0], [[0.5, 0.5]], 1.0]
+)
+def test_attention_ratio_rejects_rows_that_are_not_probability_vectors(row):
+    # a NaN entry made the sum check read False and alpha nan; [1.5, -0.5] sums to 1 and gave alpha 1.5;
+    # [[0.5, 0.5]] has len 1, so a prompt of 1 took all of it and gave alpha 1.0
+    with pytest.raises(ValueError, match="vector of finite, non-negative entries"):
+        attention_ratio(row, 1)
+
+
 def test_attention_ratio_permutation_invariance(rng):
     # alpha depends only on the prompt-prefix sum
     row = rng.dirichlet(np.ones(10))

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anchored_decoding import RemoteBackend
+from anchored_decoding import AnchoringConfig, DecodeLimits, RemoteBackend, anchored_decode, parse_markup
 from anchored_decoding import ToyBackend, ToyModelConfig, VocabSpec
 from anchored_decoding.anchoring import softmax
 from anchored_decoding.errors import CapacityError
@@ -229,3 +234,52 @@ def test_config_validation():
         ToyModelConfig(seed=0, vocab=vocab, embed_dim=10, n_heads=3)
     with pytest.raises(ValueError):
         ToyModelConfig(seed=0, vocab=vocab, n_layers=5)
+
+
+def blas_probe():
+    """Outputs that depend on the BLAS kernel: a fixed anchored decode's tokens,
+    and a 256-token score() (the weights of the CLI's default toy model)."""
+    toy = VocabSpec.toy(32)
+    no_stop = VocabSpec(toy.size, toy.mask_id, frozenset(), toy.token_strings)  # every decode runs to its limit
+    backend = ToyBackend(ToyModelConfig(seed=0, vocab=no_stop, max_positions=256))
+    prompt = parse_markup("deffxreturnx⟦abc123zz0q⟧qrstuv0123")
+    trace = anchored_decode(backend, prompt, AnchoringConfig(mode="fixed", omega=1.25), DecodeLimits(96))
+    ctx = np.random.default_rng(26).integers(2, 32, size=256).tolist()
+    result = backend.score(ctx, frozenset(range(40, 56)), want_attention=True)
+    return {"tokens": trace.generated_tokens, "logits": result.logits.tolist(), "attention": result.attention.tolist()}
+
+
+def test_forward_under_haswell_blas_kernel_matches_in_process():
+    # attention runs through BLAS matmuls, whose kernel OpenBLAS picks per CPU;
+    # Haswell is the one a CI runner without AVX-512 selects
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_VERBOSE="2")
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")])
+    child = subprocess.run(
+        [sys.executable, "-c", "import json, test_backend; print(json.dumps(test_backend.blas_probe()))"],
+        env=env, cwd=tests, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    if "Core:" in child.stderr:  # OpenBLAS names the kernel it picked
+        assert "Core: Haswell" in child.stderr, child.stderr
+    got, want = json.loads(child.stdout), blas_probe()
+    assert len(want["tokens"]) == 96 and got["tokens"] == want["tokens"]
+    for key in ("logits", "attention"):
+        assert np.allclose(got[key], want[key], rtol=0, atol=1e-13)
+
+
+def test_shared_backend_scores_concurrently_while_its_causal_mask_grows():
+    # the forward grows a cached causal mask on first use of a longer context; callers share one backend
+    lengths = [int(n) for n in np.random.default_rng(5).integers(1, 129, size=64)]
+    contexts = [[2 + (i * 7 + j) % 14 for j in range(n)] for i, n in enumerate(lengths)]
+    want = [make_backend(seed=3, max_positions=128).score(c).logits for c in contexts]
+    shared = make_backend(seed=3, max_positions=128)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda c: shared.score(c).logits, contexts, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

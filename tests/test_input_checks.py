@@ -28,6 +28,8 @@ CASES = {
     ),
     "omega nan": (lambda: combine_fixed([1.0, 2.0], [0.0, 1.0], float("nan")), ValueError, "omega must be finite"),
     "prompt past the attention row": (lambda: attention_ratio([0.5, 0.5], 3), ValueError, "prompt_length out of range"),
+    "bool prompt_length": (lambda: attention_ratio([0.5, 0.5], True), ValueError, "prompt_length must be an int"),
+    "float prompt_length": (lambda: attention_ratio([0.5, 0.5], 1.0), ValueError, "prompt_length must be an int"),
     "no length results": (lambda: length_stats([]), ValueError, "no results"),
     "no pass@k outcomes": (lambda: pass_at_k([], 1), ValueError, "no outcomes"),
     "empty corpus": (
