@@ -8,6 +8,7 @@ every test oracle in this project relies on bit-reproducible logits.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +63,17 @@ def check_score_args(context_tokens, mask_positions, vocab_size: int, max_positi
     n = len(context_tokens)
     if n > max_positions:
         raise CapacityError(f"context length {n} exceeds max_positions {max_positions}")
-    if not all(is_int(t) and 0 <= t < vocab_size for t in context_tokens):
-        raise ValueError(f"token ids must be ints in 0..{vocab_size - 1}")
+    # a C-speed pass accepts plain ints in range; anything else (numpy ints, refusals) takes the per-item rule
+    if not (set(map(type, context_tokens)) == {int} and min(context_tokens) >= 0 and max(context_tokens) < vocab_size):
+        if not all(is_int(t) and 0 <= t < vocab_size for t in context_tokens):
+            raise ValueError(f"token ids must be ints in 0..{vocab_size - 1}")
     masks = list(mask_positions)  # read once: a one-shot iterable is checked and used alike
-    for m in masks:
-        if not is_int(m):
-            raise ValueError(f"mask position {m!r} is not an int in 0..{n - 1}")
-        if not 0 <= m < n:
-            raise MaskIndexError(f"mask position {m} is outside the context, 0..{n - 1}")
+    if masks and not (set(map(type, masks)) == {int} and min(masks) >= 0 and max(masks) < n):
+        for m in masks:
+            if not is_int(m):
+                raise ValueError(f"mask position {m!r} is not an int in 0..{n - 1}")
+            if not 0 <= m < n:
+                raise MaskIndexError(f"mask position {m} is outside the context, 0..{n - 1}")
     return np.array(context_tokens, dtype=np.int64), sorted({int(m) for m in masks})
 
 
@@ -82,16 +86,50 @@ def top_k_pairs(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layernorm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    # x.mean and x.var's own arithmetic, without their per-call overhead
+    d = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
+    return centred / np.sqrt(var + eps)
+
+
+def _proj(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w without BLAS: a row's result does not depend on how many rows come with it."""
+    return np.einsum("sd,de->se", x, w)
+
+
+def _copy_rows(dst, src, n: int) -> None:
+    """Copy the first n rows' keys and values between ``_new_kv`` pairs."""
+    dst[0][..., :n] = src[0][..., :n]
+    dst[1][..., :n, :] = src[1][..., :n, :]
+
+
+_STREAMS = 8  # contexts a backend keeps rows for: an anchored pair, beam siblings, a second worker's pair
+_BLOCK = 64  # rows per kernel call: a long block skips most of its masked upper triangle and bounds its scores
+
+
+@dataclass(eq=False)
+class _Stream:
+    """One cached context: keys and values (a ``ToyBackend._new_kv`` pair)
+    of its first ``n`` effective tokens, and the scores of row n - 1 while
+    ``tip``, those tokens' bytes, names it."""
+
+    index: int  # its row of ToyBackend._tokens
+    kv: tuple | None = None
+    n: int = 0
+    tip: bytes | None = None
+    scores: tuple | None = None
+    used: int = 0  # ToyBackend._clock at its last use
 
 
 class ToyBackend:
     """Token scorer over the toy transformer.
 
-    Scoring is a pure function of (config, context); instances are safe to
-    share read-only across concurrent decodes.
+    Scoring is a pure function of (config, context). The backend keeps the
+    keys and values of the last few contexts it scored, so a context that
+    extends one of them computes only its new rows; the forward is
+    row-invariant, so those bytes equal a cold forward's. The cache is
+    guarded by a lock: instances are safe to share across concurrent decodes.
     """
 
     def __init__(self, config: ToyModelConfig):
@@ -108,68 +146,146 @@ class ToyBackend:
         self.pos_emb = u(config.max_positions, d)
         self.layers = []
         for _ in range(config.n_layers):
-            self.layers.append(
-                {
-                    "wq": u(d, d),
-                    "wk": u(d, d),
-                    "wv": u(d, d),
-                    "wo": u(d, d),
-                    "w1": u(d, 4 * d),
-                    "w2": u(4 * d, d),
-                }
-            )
+            p = {"wq": u(d, d), "wk": u(d, d), "wv": u(d, d), "wo": u(d, d), "w1": u(d, 4 * d), "w2": u(4 * d, d)}
+            # one product for q, k and v, with q's 1/sqrt(head_dim) folded in
+            p["wqkv"] = np.concatenate([p["wq"] / np.sqrt(d // config.n_heads), p["wk"], p["wv"]], axis=1)
+            self.layers.append(p)
         self.unembed = u(d, v)
-        self._future = np.zeros((0, 0), dtype=bool)  # the causal mask: True above the diagonal
+        self._lock = threading.Lock()
+        self._streams: list[_Stream] = []
+        self._tips: dict[bytes, _Stream] = {}
+        self._tokens = np.full((_STREAMS, config.max_positions), -1, dtype=np.int64)  # row s: stream s's tokens
+        self._clock = 0  # last use, for least recently used
 
     # -- forward ------------------------------------------------------------
 
-    def _embed(self, tokens: np.ndarray) -> np.ndarray:
-        return self.tok_emb[tokens] + self.pos_emb[: len(tokens)]
+    def _embed(self, tokens: np.ndarray, start: int = 0) -> np.ndarray:
+        return self.tok_emb[tokens] + self.pos_emb[start : start + len(tokens)]
 
-    def _forward(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Run the stack on embedded input (T, d); returns (final logits, attention row).
+    def _new_kv(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Room for ``rows`` rows' keys, (layers, heads, head_dim, rows), and
+        values, (layers, heads, rows, head_dim). Keys lie rows-last, so q·k
+        runs over a contiguous vector of rows and sums over head_dim outside it."""
+        L, H = self.config.n_layers, self.config.n_heads
+        hd = self.config.embed_dim // H
+        return np.empty((L, H, hd, rows)), np.empty((L, H, rows, hd))
 
-        The attention row is the last layer's final-position row averaged over
-        heads (kept a probability vector by the arithmetic mean). Nothing else
-        of the last layer is read, so past its keys and values it runs for the
-        final position alone.
+    def _rows(self, kv, start: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Run the stack on embedded rows start..start+R-1 (h, shape (R, d))
+        of a context whose earlier rows' keys and values ``kv`` holds; writes
+        theirs after them and returns (final logits, attention row).
+
+        The attention row is the last layer's final-position row averaged
+        over heads. Nothing else of the last layer is read, so past its keys
+        and values it runs for the final row alone.
+
+        Row-invariant: a row's bytes do not depend on how the rows were split
+        into calls. Every product is an einsum (no BLAS) whose sum is its
+        outer loop, so each output is a sequential sum; the softmax
+        normaliser is sequential too; and a block's causal mask only adds
+        exact zeros at the end of those sums.
         """
         cfg = self.config
-        T, d = h.shape
-        hd = d // cfg.n_heads
-        future = self._future  # read once: a concurrent call may replace it
-        if len(future) < T:  # grown to the longest context scored, not rebuilt per call
-            n = min(max(T, 2 * len(future)), self.max_positions)
-            self._future = future = np.triu(np.ones((n, n), dtype=bool), k=1)
-        future = future[:T, :T]
+        R, d = h.shape
+        H, hd = cfg.n_heads, d // cfg.n_heads
+        end = start + R
+        # a block's earlier rows must not see its later ones; one row sees everything
+        future = np.arange(start, end)[:, None] < np.arange(end) if R > 1 else None
+        keys, values = kv
         for li, p in enumerate(self.layers):
-            x = _layernorm(h)
-            # (heads, rows, hd) views, so both products below are batched BLAS calls
-            k = (x @ p["wk"]).reshape(T, cfg.n_heads, hd).transpose(1, 0, 2)
-            v = (x @ p["wv"]).reshape(T, cfg.n_heads, hd).transpose(1, 0, 2)
+            qkv = _proj(_layernorm(h), p["wqkv"])
+            keys[li, :, :, start:end] = qkv[:, d : 2 * d].reshape(R, H, hd).transpose(1, 2, 0)
+            values[li, :, start:end] = qkv[:, 2 * d :].reshape(R, H, hd).transpose(1, 0, 2)
             if li == len(self.layers) - 1:  # keep only the row the logits read
-                h, x, future = h[-1:], x[-1:], future[-1:]
-            q = (x @ p["wq"]) / np.sqrt(hd)
-            attn = q.reshape(len(x), cfg.n_heads, hd).transpose(1, 0, 2) @ k.transpose(0, 2, 1)
-            # causal softmax in the one (heads, rows, T) buffer the product returned
-            np.copyto(attn, -np.inf, where=future)
+                h, qkv, future = h[-1:], qkv[-1:], None
+            q = qkv[:, :d].reshape(len(h), H, hd).transpose(1, 0, 2)
+            attn = np.einsum("hrd,hdt->hrt", q, keys[li, :, :, :end])
+            if future is not None:
+                np.copyto(attn, -np.inf, where=future)
             attn -= attn.max(axis=-1, keepdims=True)
             np.exp(attn, out=attn)
-            attn /= attn.sum(axis=-1, keepdims=True)
-            ctx = (attn @ v).transpose(1, 0, 2).reshape(len(x), d)
-            h = h + ctx @ p["wo"]
-            x = _layernorm(h)
-            h = h + np.tanh(x @ p["w1"]) @ p["w2"]
-        logits = _layernorm(h[-1]) @ self.unembed
-        return logits, attn[:, -1, :].mean(axis=0)
+            attn /= np.add.accumulate(attn, axis=-1)[..., -1:]  # in order, so a masked tail adds exact zeros
+            ctx = np.einsum("hrt,htd->rhd", attn, values[li, :, :end]).reshape(len(h), d)
+            h = h + _proj(ctx, p["wo"])
+            h = h + _proj(np.tanh(_proj(_layernorm(h), p["w1"])), p["w2"])
+        return _proj(_layernorm(h), self.unembed)[0], np.add.reduce(attn[:, -1, :], axis=0) / H  # mean over heads
+
+    def _extend(self, kv, start: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_rows`` in blocks of at most _BLOCK rows: the same bytes as one call."""
+        for a in range(0, len(h), _BLOCK):
+            scores = self._rows(kv, start + a, h[a : a + _BLOCK])
+        return scores
+
+    # -- prefix cache -------------------------------------------------------
+
+    def _cached_forward(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scores of an effective context, computing only the rows no stream holds. Call under the lock."""
+        key = tokens.tobytes()
+        stream = self._tips.get(key)
+        if stream is None:
+            stream, start = self._stream_for(tokens, key)
+            self._tips.pop(stream.tip, None)
+            stream.tip = None
+            stream.scores = self._extend(stream.kv, start, self._embed(tokens[start:], start))
+            self._tokens[stream.index, start : len(tokens)] = tokens[start:]
+            stream.n, stream.tip = len(tokens), key
+            self._tips[key] = stream
+        self._clock += 1
+        stream.used = self._clock
+        return stream.scores
+
+    def _stream_for(self, tokens: np.ndarray, key: bytes) -> tuple[_Stream, int]:
+        """The stream to extend, with room for the context, and its first row
+        to compute: the stream that shares the longest prefix, or a copy of
+        the shared rows in the least recently used stream when that one holds
+        rows past them."""
+        T, streams = len(tokens), self._streams
+        shared, src = 0, self._tips.get(key[: -tokens.itemsize])  # the common case: one token past a tip
+        if src is not None:
+            shared = src.n
+        elif streams:
+            # unused positions hold -1, so a stream's run of equal tokens ends at its n
+            same = np.logical_and.accumulate(self._tokens[: len(streams), :T] == tokens, axis=1).sum(axis=1)
+            i = int(same.argmax())
+            # the last row is always computed: its scores are the answer
+            src, shared = streams[i], min(int(same[i]), T - 1)
+        if src is not None and shared == src.n:
+            self._reserve(src, T)
+            return src, shared
+        if len(streams) < _STREAMS:
+            dst = _Stream(len(streams))
+            streams.append(dst)
+        else:
+            dst = min((s for s in streams if s is not src), key=lambda s: s.used)
+        self._tips.pop(dst.tip, None)
+        dst.tip, dst.n = None, 0
+        self._reserve(dst, T)
+        if shared:
+            _copy_rows(dst.kv, src.kv, shared)
+        row = self._tokens[dst.index]
+        row[:shared] = tokens[:shared]
+        row[shared:] = -1
+        dst.n = shared
+        return dst, shared
+
+    def _reserve(self, stream: _Stream, rows: int) -> None:
+        """Make room for ``rows`` rows in a stream, keeping the ones it holds."""
+        if stream.kv is None or stream.kv[1].shape[2] < rows:
+            grown = self._new_kv(min(max(rows, 2 * stream.n), self.max_positions))
+            if stream.n:
+                _copy_rows(grown, stream.kv, stream.n)
+            stream.kv = grown
 
     # -- public API ---------------------------------------------------------
 
     def score(self, context_tokens, mask_positions=frozenset(), want_attention: bool = False) -> ScoreResult:
         tokens, masks = check_score_args(context_tokens, mask_positions, self.vocab.size, self.max_positions)
-        tokens[masks] = self.vocab.mask_id
-        logits, att_row = self._forward(self._embed(tokens))
-        return ScoreResult(logits=logits, attention=att_row if want_attention else None)
+        if masks:
+            tokens[masks] = self.vocab.mask_id
+        with self._lock:
+            logits, att_row = self._cached_forward(tokens)
+        # copies: the cache keeps its own
+        return ScoreResult(logits=logits.copy(), attention=att_row.copy() if want_attention else None)
 
     def forward_from_embeddings(self, embedded: np.ndarray) -> np.ndarray:
         """Logits from a caller-supplied embedded input (positional encodings
@@ -181,7 +297,7 @@ class ToyBackend:
             raise ValueError(f"embedded input must have shape (T, {d}) with T >= 1, not {h.shape}")
         if len(h) > self.max_positions:
             raise CapacityError(f"context length {len(h)} exceeds max_positions {self.max_positions}")
-        logits, _ = self._forward(h)
+        logits, _ = self._extend(self._new_kv(len(h)), 0, h)
         return logits
 
     def embed(self, context_tokens) -> np.ndarray:

@@ -250,8 +250,9 @@ def blas_probe():
 
 
 def test_forward_under_haswell_blas_kernel_matches_in_process():
-    # attention runs through BLAS matmuls, whose kernel OpenBLAS picks per CPU;
-    # Haswell is the one a CI runner without AVX-512 selects
+    # the forward calls no BLAS (every product is an einsum), so the kernel
+    # OpenBLAS picks per CPU cannot change a bit; Haswell is the one a CI
+    # runner without AVX-512 selects
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_VERBOSE="2")
     env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")])
@@ -264,8 +265,8 @@ def test_forward_under_haswell_blas_kernel_matches_in_process():
         assert "Core: Haswell" in child.stderr, child.stderr
     got, want = json.loads(child.stdout), blas_probe()
     assert len(want["tokens"]) == 96 and got["tokens"] == want["tokens"]
-    for key in ("logits", "attention"):
-        assert np.allclose(got[key], want[key], rtol=0, atol=1e-13)
+    for key in ("logits", "attention"):  # json carries each float's shortest repr, which reads back exactly
+        assert np.array(got[key]).tobytes() == np.array(want[key]).tobytes(), key
 
 
 def test_shared_backend_scores_concurrently_while_its_causal_mask_grows():

@@ -1,5 +1,6 @@
 """Refusals of out-of-range input that no other test reaches: each call raises, naming the fault."""
 
+import numpy as np
 import pytest
 
 from anchored_decoding import (
@@ -12,8 +13,11 @@ from anchored_decoding import (
     build_masked_context,
     combine_fixed,
 )
+from anchored_decoding.anchoring import is_int
 from anchored_decoding.attention_analysis import attention_ratio, length_stats
+from anchored_decoding.errors import CapacityError, MaskIndexError
 from anchored_decoding.harness import evaluate, pass_at_k
+from anchored_decoding.toy_model import check_score_args
 
 from conftest import make_backend
 
@@ -67,3 +71,63 @@ def test_refused(case):
     call, kind, message = CASES[case]
     with pytest.raises(kind, match=message):
         call()
+
+
+def per_item_check_score_args(context_tokens, mask_positions, vocab_size, max_positions):
+    """check_score_args as it was before its C-speed pass: one Python test per token."""
+    if isinstance(context_tokens, np.ndarray) and context_tokens.ndim == 1:
+        context_tokens = context_tokens.tolist()
+    if not isinstance(context_tokens, (list, tuple)) or not context_tokens:
+        raise ValueError("context_tokens must be a non-empty sequence of ints")
+    n = len(context_tokens)
+    if n > max_positions:
+        raise CapacityError(f"context length {n} exceeds max_positions {max_positions}")
+    if not all(is_int(t) and 0 <= t < vocab_size for t in context_tokens):
+        raise ValueError(f"token ids must be ints in 0..{vocab_size - 1}")
+    masks = list(mask_positions)
+    for m in masks:
+        if not is_int(m):
+            raise ValueError(f"mask position {m!r} is not an int in 0..{n - 1}")
+        if not 0 <= m < n:
+            raise MaskIndexError(f"mask position {m} is outside the context, 0..{n - 1}")
+    return np.array(context_tokens, dtype=np.int64), sorted({int(m) for m in masks})
+
+
+def odd_value(rng, bound):
+    """An id or position that the rule may refuse: a bool, numpy int, float, out of range or huge."""
+    return [
+        True, False, np.int64(rng.integers(0, bound)), np.int32(bound), float(rng.integers(0, bound)),
+        -1, bound, 2**70, -(2**70), "1", None, np.bool_(True), np.float64(1.0),
+    ][int(rng.integers(0, 13))]
+
+
+def outcome(call):
+    try:
+        tokens, masks = call()
+    except Exception as e:  # the verdict is the exception's type and message
+        return type(e), str(e)
+    return tokens.dtype, tokens.tolist(), masks
+
+
+def test_score_args_rule_matches_the_per_item_rule():
+    # same verdict, same exception type and message, same result, on mostly bad input
+    rng = np.random.default_rng(10)
+    vocab, limit = 16, 40
+    containers = [list, tuple, iter, frozenset]  # iter: one-shot
+    for _ in range(3000):
+        n = int(rng.integers(0, 45))
+        tokens = [int(t) for t in rng.integers(0, vocab, size=n)]
+        masks = [int(m) for m in rng.integers(0, max(n, 1), size=int(rng.integers(0, 5)))]
+        for _ in range(int(rng.integers(0, 3))):
+            if tokens and rng.random() < 0.7:
+                tokens[int(rng.integers(0, n))] = odd_value(rng, vocab)
+            if masks and rng.random() < 0.5:
+                masks[int(rng.integers(0, len(masks)))] = odd_value(rng, max(n, 1))
+        as_context = containers[int(rng.integers(0, 3))]
+        if as_context is iter and rng.random() < 0.5 and all(type(t) is int and abs(t) < 2**62 for t in tokens):
+            as_context = lambda ts: np.array(ts, dtype=np.int64 if rng.random() < 0.7 else np.float64)  # noqa: E731
+        context = as_context(tokens)
+        as_masks = containers[int(rng.integers(0, 4))]
+        got = outcome(lambda: check_score_args(context, as_masks(masks), vocab, limit))
+        want = outcome(lambda: per_item_check_score_args(context, as_masks(masks), vocab, limit))
+        assert got == want, (context, masks)

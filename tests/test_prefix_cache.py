@@ -1,0 +1,197 @@
+"""The toy backend's prefix cache: what score() returns never depends on what it scored before."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from anchored_decoding import ToyBackend, ToyModelConfig, VocabSpec
+from anchored_decoding.toy_model import _STREAMS
+
+SHAPES = [  # (embed_dim, n_layers, n_heads, vocab): head_dim 8, 8, 3 and 16
+    (32, 2, 4, 32),
+    (16, 1, 2, 16),
+    (24, 3, 8, 20),
+    (32, 4, 2, 52),
+]
+
+
+def model(seed, shape, max_positions=160):
+    d, layers, heads, vocab = shape
+    return ToyModelConfig(
+        seed=seed, vocab=VocabSpec.toy(vocab), embed_dim=d, n_layers=layers, n_heads=heads,
+        max_positions=max_positions,
+    )
+
+
+def one_block(backend, tokens, masks=()):
+    """The kernel run once over every row of a fresh context: no cache, no split."""
+    tokens = np.array(tokens, dtype=np.int64)
+    tokens[list(masks)] = backend.vocab.mask_id
+    return backend._rows(backend._new_kv(len(tokens)), 0, backend._embed(tokens))
+
+
+def same_bytes(result, want):
+    logits, row = want
+    return result.logits.tobytes() == logits.tobytes() and result.attention.tobytes() == row.tobytes()
+
+
+def request_sequence(rng, vocab_size, max_positions, n):
+    """Contexts as decoders make them: new prompts, one-token steps, forks off
+    an earlier context, repeats; each with random mask positions."""
+    seen = []
+    for _ in range(n):
+        kind = rng.integers(0, 4) if seen else 0
+        if kind == 0:  # a new prompt
+            ctx = rng.integers(0, vocab_size, size=int(rng.integers(1, 100))).tolist()
+        else:
+            base = seen[int(rng.integers(0, len(seen)))]
+            if kind == 1:  # a step
+                ctx = base + [int(rng.integers(0, vocab_size))]
+            elif kind == 2:  # a fork: a prefix, then other tokens
+                cut = int(rng.integers(0, len(base) + 1))
+                ctx = base[:cut] + rng.integers(0, vocab_size, size=int(rng.integers(1, 70))).tolist()
+            else:  # asked again
+                ctx = list(base)
+        ctx = ctx[:max_positions] or [0]
+        seen.append(ctx)
+        n_masks = int(rng.integers(0, min(len(ctx), 6) + 1)) if rng.random() < 0.5 else 0
+        masks = frozenset(int(i) for i in rng.choice(len(ctx), size=n_masks, replace=False))
+        yield ctx, masks
+
+
+def test_cached_scores_equal_one_block_forward(rng):
+    # bit for bit, whatever rows the backend already held and however it split the new ones
+    for seed, shape in enumerate(SHAPES):
+        backend = ToyBackend(model(seed, shape))
+        for ctx, masks in request_sequence(rng, shape[3], 160, 60):
+            got = backend.score(ctx, masks, want_attention=True)
+            assert same_bytes(got, one_block(backend, ctx, sorted(masks))), (seed, len(ctx), sorted(masks))
+
+
+def test_split_points_do_not_change_bytes(rng):
+    # a context scored as a chain of prefixes cut anywhere equals the same context scored cold
+    for seed, shape in enumerate(SHAPES):
+        config = model(seed, shape, max_positions=256)
+        for _ in range(8):
+            T = int(rng.integers(1, 257))
+            ctx = rng.integers(0, shape[3], size=T).tolist()
+            want = one_block(ToyBackend(config), ctx)
+            backend = ToyBackend(config)
+            for cut in sorted(set(rng.integers(1, T + 1, size=int(rng.integers(1, 6))).tolist())):
+                backend.score(ctx[:cut])
+            assert same_bytes(backend.score(ctx, want_attention=True), want), (seed, T)
+
+
+def test_rows_computed_are_only_the_new_ones(rng):
+    backend = ToyBackend(model(3, SHAPES[0]))
+    computed = []
+    rows = backend._rows
+    backend._rows = lambda kv, start, h: computed.append(len(h)) or rows(kv, start, h)
+    prompt = rng.integers(2, 32, size=40).tolist()
+    backend.score(prompt)
+    assert computed == [40]
+    backend.score(prompt + [5])  # one token past a tip
+    backend.score(prompt, {10, 11})  # the masked stream shares rows 0..9 with the original one
+    backend.score(prompt + [5])  # scored before
+    backend.score(prompt + [6])  # a sibling: forks at the shared prompt
+    assert computed == [40, 1, 30, 1]
+
+
+def test_the_least_recently_used_stream_is_the_one_reused():
+    backend = ToyBackend(model(6, SHAPES[0]))
+    computed = []
+    rows = backend._rows
+    backend._rows = lambda kv, start, h: computed.append(len(h)) or rows(kv, start, h)
+    contexts = [[2 + i] * 10 for i in range(_STREAMS)]
+    for ctx in contexts:
+        backend.score(ctx)
+    backend.score(contexts[0])  # a hit: now the most recently used
+    backend.score([30] * 10)  # takes the stream of contexts[1]
+    del computed[:]
+    backend.score(contexts[0] + [5])
+    backend.score(contexts[1] + [5])
+    assert computed == [1, 11]
+
+
+def test_stream_count_stays_bounded(rng):
+    backend = ToyBackend(model(1, SHAPES[1], max_positions=64))
+    for i in range(120):
+        backend.score(rng.integers(0, 16, size=int(rng.integers(1, 65))).tolist(), {0} if i % 3 else ())
+    assert len(backend._streams) == _STREAMS
+    assert len(backend._tips) <= _STREAMS
+    assert all(s.kv[1].shape[2] <= 64 for s in backend._streams)
+
+
+def test_a_reused_stream_forgets_its_old_rows():
+    # the least recently used stream takes a fork; its rows past the shared
+    # ones belonged to another context and must never be read as a prefix
+    backend = ToyBackend(model(5, SHAPES[0]))
+    backend.score([1] * 40)
+    others = [[2 + i] * 6 for i in range(_STREAMS - 1)]
+    for ctx in others:
+        backend.score(ctx)
+    fork = others[0][:1] + [5, 5]  # shares one row with a live stream; lands on [1] * 40's
+    backend.score(fork)
+    probe = fork + [1] * 5 + [9]
+    assert same_bytes(backend.score(probe, want_attention=True), one_block(backend, probe))
+
+
+def test_returned_arrays_are_not_cache_storage(rng):
+    backend = ToyBackend(model(2, SHAPES[0]))
+    ctx = rng.integers(2, 32, size=12).tolist()
+    first = backend.score(ctx, want_attention=True)
+    want = (first.logits.copy(), first.attention.copy())
+    first.logits[:] = 0.0
+    first.attention[:] = 0.0
+    again = backend.score(ctx, want_attention=True)  # a full hit
+    assert same_bytes(again, want)
+    again.logits[:] = np.nan
+    step = backend.score(ctx + [3], want_attention=True)
+    assert same_bytes(step, one_block(backend, ctx + [3]))
+    assert same_bytes(backend.score(ctx, want_attention=True), want)
+
+
+def test_full_hit_returns_the_same_bytes(rng):
+    backend = ToyBackend(model(4, SHAPES[2]))
+    contexts = [rng.integers(0, 20, size=int(rng.integers(1, 50))).tolist() for _ in range(_STREAMS - 1)]
+    first = [backend.score(c, want_attention=True) for c in contexts]
+    for c, r in zip(contexts, first):
+        assert same_bytes(backend.score(c, want_attention=True), (r.logits, r.attention))
+        assert backend.score(c).attention is None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_threads_extending_interleaved_prefixes_get_serial_bytes(seed):
+    # two decodes that share a prompt, each stepping its own branch, through one backend
+    rng = np.random.default_rng(seed)
+    config = model(seed, SHAPES[0])
+    prompt = rng.integers(2, 32, size=24).tolist()
+    branches = [prompt + rng.integers(2, 32, size=100).tolist() for _ in range(2)]
+    requests = [[(b[:n], frozenset({3, 4}) if n % 2 else frozenset()) for n in range(24, 125)] for b in branches]
+    serial = [[ToyBackend(config).score(c, m).logits for c, m in reqs[::10]] for reqs in requests]
+    shared = ToyBackend(config)
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def run(i):
+        start.wait()
+        got[i] = [shared.score(c, m).logits for c, m in requests[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    for i in range(2):
+        assert len(got[i]) == len(requests[i])
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got[i][::10], serial[i]))
+        # every step equals the one-block forward, not only the sampled ones
+        for (c, m), g in zip(requests[i][::7], got[i][::7]):
+            assert g.tobytes() == one_block(shared, c, sorted(m))[0].tobytes()
