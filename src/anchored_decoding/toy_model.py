@@ -67,7 +67,10 @@ def check_score_args(context_tokens, mask_positions, vocab_size: int, max_positi
     if not (set(map(type, context_tokens)) == {int} and min(context_tokens) >= 0 and max(context_tokens) < vocab_size):
         if not all(is_int(t) and 0 <= t < vocab_size for t in context_tokens):
             raise ValueError(f"token ids must be ints in 0..{vocab_size - 1}")
-    masks = list(mask_positions)  # read once: a one-shot iterable is checked and used alike
+    try:
+        masks = list(mask_positions)  # read once: a one-shot iterable is checked and used alike
+    except TypeError:
+        raise ValueError(f"mask_positions must be an iterable of ints in 0..{n - 1}, not {mask_positions!r}") from None
     if masks and not (set(map(type, masks)) == {int} and min(masks) >= 0 and max(masks) < n):
         for m in masks:
             if not is_int(m):
@@ -85,12 +88,12 @@ def top_k_pairs(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, logits[order]
 
 
-def _layernorm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def _layernorm(x: np.ndarray) -> np.ndarray:
     # x.mean and x.var's own arithmetic, without their per-call overhead
     d = x.shape[-1]
     centred = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
-    return centred / np.sqrt(var + eps)
+    return centred / np.sqrt(var + 1e-5)
 
 
 def _proj(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -98,38 +101,19 @@ def _proj(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("sd,de->se", x, w)
 
 
-def _copy_rows(dst, src, n: int) -> None:
-    """Copy the first n rows' keys and values between ``_new_kv`` pairs."""
-    dst[0][..., :n] = src[0][..., :n]
-    dst[1][..., :n, :] = src[1][..., :n, :]
-
-
 _STREAMS = 8  # contexts a backend keeps rows for: an anchored pair, beam siblings, a second worker's pair
 _BLOCK = 64  # rows per kernel call: a long block skips most of its masked upper triangle and bounds its scores
-
-
-@dataclass(eq=False)
-class _Stream:
-    """One cached context: keys and values (a ``ToyBackend._new_kv`` pair)
-    of its first ``n`` effective tokens, and the scores of row n - 1 while
-    ``tip``, those tokens' bytes, names it."""
-
-    index: int  # its row of ToyBackend._tokens
-    kv: tuple | None = None
-    n: int = 0
-    tip: bytes | None = None
-    scores: tuple | None = None
-    used: int = 0  # ToyBackend._clock at its last use
 
 
 class ToyBackend:
     """Token scorer over the toy transformer.
 
     Scoring is a pure function of (config, context). The backend keeps the
-    keys and values of the last few contexts it scored, so a context that
-    extends one of them computes only its new rows; the forward is
-    row-invariant, so those bytes equal a cold forward's. The cache is
-    guarded by a lock: instances are safe to share across concurrent decodes.
+    keys and values of the last _STREAMS contexts it scored as the streams of
+    one store, so a context that extends one of them computes only its new
+    rows; the forward is row-invariant, so those bytes equal a cold forward's.
+    The store is guarded by a lock: instances are safe to share across
+    concurrent decodes.
     """
 
     def __init__(self, config: ToyModelConfig):
@@ -152,23 +136,24 @@ class ToyBackend:
             self.layers.append(p)
         self.unembed = u(d, v)
         self._lock = threading.Lock()
-        self._streams: list[_Stream] = []
-        self._tips: dict[bytes, _Stream] = {}
+        self._kv = self._new_kv(0, _STREAMS)  # every stream's keys and values, grown by doubling
+        self._n = [0] * _STREAMS  # rows stream s holds; 0: unused
         self._tokens = np.full((_STREAMS, config.max_positions), -1, dtype=np.int64)  # row s: stream s's tokens
-        self._clock = 0  # last use, for least recently used
+        self._tips: dict[bytes, tuple] = {}  # a stream's tokens' bytes: (stream, scores), least recently used first
 
     # -- forward ------------------------------------------------------------
 
     def _embed(self, tokens: np.ndarray, start: int = 0) -> np.ndarray:
         return self.tok_emb[tokens] + self.pos_emb[start : start + len(tokens)]
 
-    def _new_kv(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    def _new_kv(self, rows: int, *streams: int) -> tuple[np.ndarray, np.ndarray]:
         """Room for ``rows`` rows' keys, (layers, heads, head_dim, rows), and
-        values, (layers, heads, rows, head_dim). Keys lie rows-last, so q·k
-        runs over a contiguous vector of rows and sums over head_dim outside it."""
+        values, (layers, heads, rows, head_dim), after a leading axis of
+        ``streams`` when given. Keys lie rows-last, so q·k runs over a
+        contiguous vector of rows and sums over head_dim outside it."""
         L, H = self.config.n_layers, self.config.n_heads
         hd = self.config.embed_dim // H
-        return np.empty((L, H, hd, rows)), np.empty((L, H, rows, hd))
+        return np.empty((*streams, L, H, hd, rows)), np.empty((*streams, L, H, rows, hd))
 
     def _rows(self, kv, start: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Run the stack on embedded rows start..start+R-1 (h, shape (R, d))
@@ -221,60 +206,47 @@ class ToyBackend:
     def _cached_forward(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Scores of an effective context, computing only the rows no stream holds. Call under the lock."""
         key = tokens.tobytes()
-        stream = self._tips.get(key)
-        if stream is None:
-            stream, start = self._stream_for(tokens, key)
-            self._tips.pop(stream.tip, None)
-            stream.tip = None
-            stream.scores = self._extend(stream.kv, start, self._embed(tokens[start:], start))
-            self._tokens[stream.index, start : len(tokens)] = tokens[start:]
-            stream.n, stream.tip = len(tokens), key
-            self._tips[key] = stream
-        self._clock += 1
-        stream.used = self._clock
-        return stream.scores
+        entry = self._tips.pop(key, None)
+        if entry is None:
+            s, start = self._stream_for(tokens, key)
+            entry = s, self._extend((self._kv[0][s], self._kv[1][s]), start, self._embed(tokens[start:], start))
+            self._tokens[s, start : len(tokens)] = tokens[start:]
+            self._n[s] = len(tokens)
+        self._tips[key] = entry  # (re-)inserted: now the most recently used
+        return entry[1]
 
-    def _stream_for(self, tokens: np.ndarray, key: bytes) -> tuple[_Stream, int]:
+    def _stream_for(self, tokens: np.ndarray, key: bytes) -> tuple[int, int]:
         """The stream to extend, with room for the context, and its first row
         to compute: the stream that shares the longest prefix, or a copy of
-        the shared rows in the least recently used stream when that one holds
-        rows past them."""
-        T, streams = len(tokens), self._streams
-        shared, src = 0, self._tips.get(key[: -tokens.itemsize])  # the common case: one token past a tip
-        if src is not None:
-            shared = src.n
-        elif streams:
-            # unused positions hold -1, so a stream's run of equal tokens ends at its n
-            same = np.logical_and.accumulate(self._tokens[: len(streams), :T] == tokens, axis=1).sum(axis=1)
-            i = int(same.argmax())
-            # the last row is always computed: its scores are the answer
-            src, shared = streams[i], min(int(same[i]), T - 1)
-        if src is not None and shared == src.n:
-            self._reserve(src, T)
-            return src, shared
-        if len(streams) < _STREAMS:
-            dst = _Stream(len(streams))
-            streams.append(dst)
-        else:
-            dst = min((s for s in streams if s is not src), key=lambda s: s.used)
-        self._tips.pop(dst.tip, None)
-        dst.tip, dst.n = None, 0
-        self._reserve(dst, T)
-        if shared:
-            _copy_rows(dst.kv, src.kv, shared)
-        row = self._tokens[dst.index]
-        row[:shared] = tokens[:shared]
-        row[shared:] = -1
-        dst.n = shared
+        the shared rows in an unused, else the least recently used, other
+        stream when that one holds rows past them. Its old tip is out of ``_tips``."""
+        T, n = len(tokens), self._n
+        held = self._kv[1].shape[-2]
+        if T > held:  # the whole store doubles, keeping every stream's rows
+            grown = self._new_kv(min(max(T, 2 * held), self.max_positions), _STREAMS)
+            for s in range(_STREAMS):
+                grown[0][s, ..., : n[s]] = self._kv[0][s, ..., : n[s]]
+                grown[1][s, ..., : n[s], :] = self._kv[1][s, ..., : n[s], :]
+            self._kv = grown
+        hit = self._tips.pop(key[: -tokens.itemsize], None)  # the common case: one token past a tip
+        if hit is not None:
+            return hit[0], n[hit[0]]
+        # unused positions hold -1, so a stream's run of equal tokens ends at its n
+        same = np.logical_and.accumulate(self._tokens[:, :T] == tokens, axis=1).sum(axis=1)
+        src = int(same.argmax())
+        shared = min(int(same[src]), T - 1)  # the last row is always computed: its scores are the answer
+        dst = src
+        if shared < n[src]:  # an unused stream, else the least recently used other one
+            dst = n.index(0) if 0 in n else next(s for s, _ in self._tips.values() if s != src)
+        self._tips.pop(self._tokens[dst, : n[dst]].tobytes(), None)  # before its tokens change
+        if dst != src:
+            keys, values = self._kv
+            keys[dst, ..., :shared] = keys[src, ..., :shared]
+            values[dst, ..., :shared, :] = values[src, ..., :shared, :]
+            self._tokens[dst, :shared] = tokens[:shared]
+            self._tokens[dst, shared:] = -1
+            n[dst] = shared
         return dst, shared
-
-    def _reserve(self, stream: _Stream, rows: int) -> None:
-        """Make room for ``rows`` rows in a stream, keeping the ones it holds."""
-        if stream.kv is None or stream.kv[1].shape[2] < rows:
-            grown = self._new_kv(min(max(rows, 2 * stream.n), self.max_positions))
-            if stream.n:
-                _copy_rows(grown, stream.kv, stream.n)
-            stream.kv = grown
 
     # -- public API ---------------------------------------------------------
 

@@ -198,6 +198,9 @@ def test_non_int_mask_position_rejected(backend):
                     probe.score([2, 3], mask_positions={bad})
             with pytest.raises(MaskIndexError):
                 probe.score([2, 3], mask_positions={5})
+            for bad in (5, None):  # not an iterable of positions at all
+                with pytest.raises(ValueError, match="mask_positions must be an iterable of ints in 0..1"):
+                    probe.score([2, 3], mask_positions=bad)
             assert np.array_equal(probe.score([2, 3], {np.int64(1)}).logits, backend.score([2, 3], {1}).logits)
 
 
@@ -269,8 +272,8 @@ def test_forward_under_haswell_blas_kernel_matches_in_process():
         assert np.array(got[key]).tobytes() == np.array(want[key]).tobytes(), key
 
 
-def test_shared_backend_scores_concurrently_while_its_causal_mask_grows():
-    # the forward grows a cached causal mask on first use of a longer context; callers share one backend
+def test_shared_backend_scores_concurrently_while_its_store_grows():
+    # the prefix cache's store doubles under the lock on first use of a longer context; callers share one backend
     lengths = [int(n) for n in np.random.default_rng(5).integers(1, 129, size=64)]
     contexts = [[2 + (i * 7 + j) % 14 for j in range(n)] for i, n in enumerate(lengths)]
     want = [make_backend(seed=3, max_positions=128).score(c).logits for c in contexts]

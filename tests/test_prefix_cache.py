@@ -113,15 +113,17 @@ def test_the_least_recently_used_stream_is_the_one_reused():
     backend.score(contexts[0] + [5])
     backend.score(contexts[1] + [5])
     assert computed == [1, 11]
+    # the evicted context's old tip is gone: scored again, it is computed, not read from the reused stream
+    assert same_bytes(backend.score(contexts[1], want_attention=True), one_block(backend, contexts[1]))
 
 
 def test_stream_count_stays_bounded(rng):
     backend = ToyBackend(model(1, SHAPES[1], max_positions=64))
     for i in range(120):
         backend.score(rng.integers(0, 16, size=int(rng.integers(1, 65))).tolist(), {0} if i % 3 else ())
-    assert len(backend._streams) == _STREAMS
+    assert len(backend._n) == backend._kv[0].shape[0] == _STREAMS and all(backend._n)
     assert len(backend._tips) <= _STREAMS
-    assert all(s.kv[1].shape[2] <= 64 for s in backend._streams)
+    assert backend._kv[0].shape[-1] <= 64 and backend._kv[1].shape[-2] <= 64
 
 
 def test_a_reused_stream_forgets_its_old_rows():
