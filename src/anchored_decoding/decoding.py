@@ -23,7 +23,7 @@ from .anchoring import (
 )
 from .attention_analysis import attention_ratio
 from .errors import CapacityError, DecodeError, TransportError
-from .toy_model import CountingBackend, top_k_pairs
+from .toy_model import top_k_pairs
 from .wire import _fmt
 
 Pairs = list[tuple[int, float]]
@@ -96,23 +96,6 @@ def _prepare(backend, prompt, config: AnchoringConfig, width: int):
     return list(prompt_tokens), resolution, config if config.applies_to(resolution) else None
 
 
-def _score_step(backend, context, resolution, config, want_attention: bool = False):
-    """Score one step: the original pass and, with a config, the masked pass
-    (anchored prompt positions replaced by the mask token through
-    ``mask_positions``) combined into augmented logits. Returns (original
-    result, masked logits, augmented logits, original top-k ids); the last
-    three are None without a config, the ids also without config.top_k. A
-    backend's TransportError propagates; _search makes it a DecodeError."""
-    orig = backend.score(context, want_attention=want_attention)
-    if config is None:
-        return orig, None, None, None
-    masked = backend.score(context, mask_positions=resolution.token_positions).logits
-    top_ids = None if config.top_k is None else top_k_pairs(orig.logits, config.top_k)[0]
-    if config.mode == "confidence":
-        return orig, masked, combine_confidence(orig.logits, masked, config.lam), top_ids
-    return orig, masked, combine_fixed(orig.logits, masked, config.omega), top_ids
-
-
 def _candidates(original: np.ndarray, augmented, top_ids, n: int) -> np.ndarray:
     """The candidate rule of every decoder, on the full vectors every backend
     returns: the n best ids of the augmented logits (of the original ones
@@ -125,15 +108,17 @@ def _candidates(original: np.ndarray, augmented, top_ids, n: int) -> np.ndarray:
     return ids[top_k_pairs(augmented[ids], min(n, len(ids)))[0]]
 
 
-def _search(backend, prompt_tokens, resolution, config, limits, width, want_attention=False):
-    """The one decode loop, a best-first search: greedy and anchored decoding
-    run it at width 1, the beam at beam_width. A prompt longer than max_positions
-    raises CapacityError before any score() call; a path ends on a stop token,
-    at max_new_tokens or at max_positions. Each expanded prefix is scored
-    once; its children are the candidate rule's ``width`` best ids, each
-    scored by the log of its ORIGINAL softmax probability, so
-    amplified-but-noisy low-rank logits widen the search without corrupting
-    the ranking.
+def _search(prompt_tokens, resolution, config, limits, width, stop_ids, max_positions, want_attention=False):
+    """The one decode loop, a best-first search that does no I/O: greedy and
+    anchored decoding run it at width 1, the beam at beam_width. Each
+    expansion yields its requests, (context, mask_positions, want_attention)
+    for the original pass and with a config the masked pass, and is sent
+    their ScoreResults. A prompt longer than max_positions raises
+    CapacityError before the first yield; a path ends on a stop token, at
+    max_new_tokens or at max_positions. Each expanded prefix is scored once;
+    its children are the candidate rule's ``width`` best ids, each scored by
+    the log of its ORIGINAL softmax probability, so amplified-but-noisy
+    low-rank logits widen the search without corrupting the ranking.
 
     Log-probabilities only decrease along a path, so a prefix's score bounds
     all of its completions and the first ``width`` paths to end are exactly
@@ -143,24 +128,31 @@ def _search(backend, prompt_tokens, resolution, config, limits, width, want_atte
     ties to the lexicographically smallest token sequence. Cost grows with
     width and sequence length; widths here are small (Pass@k scale).
     Returns those paths as (score, tokens, finished, steps), each step a
-    (token, StepScore, seconds). A backend's TransportError becomes a
-    DecodeError carrying the trace of the path being expanded."""
-    if len(prompt_tokens) > backend.max_positions:
-        raise CapacityError(f"prompt length {len(prompt_tokens)} exceeds max_positions {backend.max_positions}")
+    (token, StepScore, seconds). A TransportError thrown in becomes a
+    DecodeError whose partial_trace is the expanded path's at width 1, else None."""
+    if len(prompt_tokens) > max_positions:
+        raise CapacityError(f"prompt length {len(prompt_tokens)} exceeds max_positions {max_positions}")
     heap = [(0.0, (), False, ())]  # (-score, tokens, finished, steps)
     paths = []
     while heap and len(paths) < width:
         neg_score, tokens, finished, steps = heapq.heappop(heap)
         score = -neg_score
         context = prompt_tokens + list(tokens)
-        if finished or len(tokens) >= limits.max_new_tokens or len(context) >= backend.max_positions:
+        if finished or len(tokens) >= limits.max_new_tokens or len(context) >= max_positions:
             paths.append((score, tokens, finished, steps))
             continue
         t0 = time.perf_counter()
+        requests = [(context, (), want_attention)] + ([] if config is None else [(context, resolution.token_positions, False)])
         try:
-            orig, masked, aug, top_ids = _score_step(backend, context, resolution, config, want_attention)
+            orig, *rest = yield requests
         except TransportError as exc:
-            raise DecodeError(str(exc), _trace(prompt_tokens, steps, "transport_error")) from exc
+            raise DecodeError(str(exc), _trace(prompt_tokens, steps, "transport_error") if width == 1 else None) from exc
+        masked = aug = top_ids = None
+        if config is not None:
+            masked = rest[0].logits
+            top_ids = None if config.top_k is None else top_k_pairs(orig.logits, config.top_k)[0]
+            combine, strength = (combine_confidence, config.lam) if config.mode == "confidence" else (combine_fixed, config.omega)
+            aug = combine(orig.logits, masked, strength)
         children = _candidates(orig.logits, aug, top_ids, width).tolist()
         stored = (orig.logits, masked, aug)
         if top_ids is not None:
@@ -170,24 +162,43 @@ def _search(backend, prompt_tokens, resolution, config, limits, width, want_atte
         logp = np.log(softmax(orig.logits))
         for tid in children:
             path = steps + ((tid, step, seconds),)
-            heapq.heappush(heap, (-(score + float(logp[tid])), tokens + (tid,), tid in backend.vocab.stop_ids, path))
+            heapq.heappush(heap, (-(score + float(logp[tid])), tokens + (tid,), tid in stop_ids, path))
     return paths
+
+
+def _drive(backend, search):
+    """The one driver, and the one place a backend is scored: answers each request
+    list a search yields with backend.score, in order, and throws a TransportError
+    into the search. Returns the search's paths and the number of passes answered."""
+    passes, results = 0, None
+    try:
+        while True:
+            requests = search.send(results)
+            try:
+                results = [backend.score(c, m, want_attention=w) for c, m, w in requests]
+            except TransportError as exc:
+                search.throw(exc)  # the search raises the DecodeError
+            passes += len(results)
+    except StopIteration as stop:
+        return stop.value, passes
 
 
 def _trace(prompt_tokens, steps, reason) -> GenerationTrace:
     return GenerationTrace(list(prompt_tokens), [s[:2] for s in steps], reason, [s[2] for s in steps])
 
 
-def _decode(backend, prompt_tokens, resolution, config, limits, want_attention) -> GenerationTrace:
-    """greedy_decode (config None) and anchored_decode: the search's one path at width 1, as a trace."""
-    [(_, _, finished, steps)] = _search(backend, list(prompt_tokens), resolution, config, limits, 1, want_attention)
-    return _trace(prompt_tokens, steps, "stop_token" if finished else "length_limit")
+def _decode(backend, prompt_tokens, resolution, config, limits, want_attention=False):
+    """greedy_decode (config None) and anchored_decode: the search's one path at width 1, as a trace, and its passes."""
+    stop_ids, max_positions = backend.vocab.stop_ids, backend.max_positions
+    search = _search(list(prompt_tokens), resolution, config, limits, 1, stop_ids, max_positions, want_attention)
+    [(_, _, finished, steps)], passes = _drive(backend, search)
+    return _trace(prompt_tokens, steps, "stop_token" if finished else "length_limit"), passes
 
 
 def greedy_decode(backend, prompt_tokens, limits: DecodeLimits, want_attention: bool = False) -> GenerationTrace:
     """Baseline decode: argmax of the original logits each step (ties break
     to the lowest token id); no masked pass."""
-    return _decode(backend, prompt_tokens, None, None, limits, want_attention)
+    return _decode(backend, prompt_tokens, None, None, limits, want_attention)[0]
 
 
 def anchored_decode(
@@ -204,7 +215,7 @@ def anchored_decode(
     apply (mode off, or no anchored tokens) it is greedy_decode: one score()
     call per step, no masked pass."""
     prompt_tokens, resolution, config = _prepare(backend, prompt, config, 1)
-    return _decode(backend, prompt_tokens, resolution, config, limits, want_attention)
+    return _decode(backend, prompt_tokens, resolution, config, limits, want_attention)[0]
 
 
 def beam_search_anchored(
@@ -222,11 +233,8 @@ def beam_search_anchored(
     A TransportError aborts with a DecodeError (no partial trace).
     """
     prompt_tokens, resolution, config = _prepare(backend, prompt, config, beam_width)
-    try:
-        paths = _search(backend, prompt_tokens, resolution, config, limits, beam_width)
-    except DecodeError as exc:
-        exc.partial_trace = None  # a beam has no single partial path to report
-        raise
+    search = _search(prompt_tokens, resolution, config, limits, beam_width, backend.vocab.stop_ids, backend.max_positions)
+    paths, _ = _drive(backend, search)
     return [BeamCandidate(tokens, score, finished) for score, tokens, finished, _ in paths]
 
 
@@ -241,16 +249,13 @@ class OverheadReport:
 
 
 def measure_overhead(backend, prompt: PromptSpec, config: AnchoringConfig, limits: DecodeLimits) -> OverheadReport:
-    """Run baseline and anchored decodes on the same prompt through one
-    CountingBackend and report throughput over step time: the traces'
-    wall_times, which leave out prompt resolution and trace assembly. Where
-    the config applies, the anchored loop issues exactly two score() calls
-    per emitted token against the baseline's one."""
-    prompt_tokens, resolution, _ = _prepare(backend, prompt, config, 1)
-    counting = CountingBackend(backend)
-    base = greedy_decode(counting, prompt_tokens, limits)
-    base_calls = counting.calls
-    anch = anchored_decode(counting, (prompt_tokens, resolution), config, limits)
+    """Run the baseline decode, then the anchored decode, of one prompt and report the
+    passes their driver answered and throughput over step time: the traces' wall_times,
+    which leave out prompt resolution and trace assembly. Where the config applies, the
+    anchored loop issues exactly two score() calls per emitted token against the baseline's one."""
+    prompt_tokens, resolution, config = _prepare(backend, prompt, config, 1)
+    base, base_calls = _decode(backend, prompt_tokens, None, None, limits)
+    anch, anch_calls = _decode(backend, prompt_tokens, resolution, config, limits)
     base_secs, anch_secs = sum(base.wall_times), sum(anch.wall_times)
     return OverheadReport(
         baseline_tokens_per_sec=len(base.steps) / base_secs if base_secs > 0 else float("inf"),
@@ -258,7 +263,7 @@ def measure_overhead(backend, prompt: PromptSpec, config: AnchoringConfig, limit
         baseline_tokens=len(base.steps),
         anchored_tokens=len(anch.steps),
         baseline_calls=base_calls,
-        anchored_calls=counting.calls - base_calls,
+        anchored_calls=anch_calls,
     )
 
 

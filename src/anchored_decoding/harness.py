@@ -244,8 +244,8 @@ def run_tests(program_text: str, task: Task, timeout_ms: int = DEFAULT_TIMEOUT_M
 def pass_at_k(candidate_outcomes: list[list[bool]], k: int) -> float:
     """Fraction of tasks where any of the top k candidates passed. Tasks with
     fewer than k candidates are counted over the candidates they have."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not (is_int(k) and k >= 1):
+        raise ValueError(f"k must be an int >= 1, not {k!r}")
     if not candidate_outcomes:
         raise ValueError("no outcomes")
     hits = sum(1 for outcomes in candidate_outcomes if any(outcomes[:k]))

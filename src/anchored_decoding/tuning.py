@@ -63,8 +63,8 @@ def kfold_split(task_ids, folds: int, seed: int) -> list[list]:
     """Deterministic shuffle-then-deal split: disjoint folds covering all ids,
     sizes differing by at most 1."""
     ids = list(task_ids)
-    if folds > len(ids):
-        raise ValueError(f"folds ({folds}) exceeds task count ({len(ids)})")
+    if not (is_int(folds) and 1 <= folds <= len(ids)):
+        raise ValueError(f"folds must be an int in 1..{len(ids)} (the task count), not {folds!r}")
     random.Random(seed).shuffle(ids)
     out: list[list] = [[] for _ in range(folds)]
     for i, tid in enumerate(ids):

@@ -1,5 +1,6 @@
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from anchored_decoding import (
     parse_markup,
     resolve_anchors,
 )
+from anchored_decoding import decoding
 from anchored_decoding.anchoring import softmax
 from anchored_decoding.errors import CapacityError, DecodeError, TransportError
 from anchored_decoding.toy_model import top_k_pairs
@@ -401,6 +403,15 @@ def test_measure_overhead(backend):
     assert report.anchored_calls == 2 * report.anchored_tokens
     assert report.baseline_tokens_per_sec > 0
     assert report.anchored_tokens_per_sec > 0
+    # the driver's pass counts are what a CountingBackend around the same backend counts
+    tokens, _ = resolve_anchors(parse_markup("ab⟦cd⟧"), backend.vocab)
+    for config in (fixed(1.25), fixed(1.25, top_k=4), AnchoringConfig(mode="off")):
+        counting = CountingBackend(backend)
+        report = measure_overhead(counting, parse_markup("ab⟦cd⟧"), config, LIMITS)
+        assert report.baseline_calls + report.anchored_calls == counting.calls
+        counting = CountingBackend(backend)
+        greedy_decode(counting, tokens, LIMITS)
+        assert report.baseline_calls == counting.calls
 
 
 class FailingBackend:
@@ -439,6 +450,100 @@ def test_transport_failure_keeps_partial_trace(backend):
     with pytest.raises(DecodeError) as info:
         beam_search_anchored(FailingBackend(backend, fail_on=3), prompt, fixed(1.25), 2, LIMITS)
     assert info.value.partial_trace is None
+
+
+# -- the search without a backend --------------------------------------------
+
+VOCAB = VocabSpec.toy(16)
+
+
+def scripted(context, mask_positions) -> ScoreResult:
+    """Logits that depend only on the context and whether it is masked, the
+    stop ids far below the rest so every path runs to max_new_tokens."""
+    logits = np.random.default_rng([*context, len(mask_positions)]).normal(size=VOCAB.size)
+    logits[sorted(VOCAB.stop_ids)] = -10.0
+    return ScoreResult(logits=logits)
+
+
+def answer(requests):
+    return [scripted(context, masks) for context, masks, _ in requests]
+
+
+def by_hand(search, log):
+    """Drive a search with scripted results, appending each request list to log; returns its paths."""
+    results = None
+    try:
+        while True:
+            requests = search.send(results)
+            log.append(requests)
+            results = answer(requests)
+    except StopIteration as stop:
+        return stop.value
+
+
+def new_search(markup, config, width, max_positions=64, want_attention=False):
+    # _prepare reads the vocabulary alone, so its stand-in backend has no score()
+    tokens, resolution, config = decoding._prepare(SimpleNamespace(vocab=VOCAB), parse_markup(markup), config, width)
+    limits = DecodeLimits(4)
+    search = decoding._search(tokens, resolution, config, limits, width, VOCAB.stop_ids, max_positions, want_attention)
+    return tokens, search
+
+
+def test_search_yields_each_steps_requests():
+    tokens, resolution = resolve_anchors(parse_markup("abc⟦de⟧"), VOCAB)
+    greedy = decoding._search(tokens, None, None, DecodeLimits(4), 1, VOCAB.stop_ids, 64, True)
+    cases = [
+        (greedy, True, False),
+        (new_search("abc⟦de⟧", AnchoringConfig(mode="off"), 1)[1], False, False),
+        (new_search("abc⟦de⟧", fixed(1.25), 1, want_attention=True)[1], True, True),
+        (new_search("abc⟦de⟧", fixed(1.25, top_k=4), 1)[1], False, True),
+    ]
+    for search, want_attention, anchored in cases:
+        log = []
+        [(_, generated, finished, steps)] = by_hand(search, log)
+        assert len(log) == len(steps) == 4 and not finished
+        for i, (requests, (token, step, _)) in enumerate(zip(log, steps)):
+            context = tokens + list(generated[:i])
+            # the original pass, then with a config the masked pass, which never asks for attention
+            want = [(context, (), want_attention)] + ([(context, resolution.token_positions, False)] if anchored else [])
+            assert requests == want
+            if not anchored:
+                assert step.masked is None and step.augmented is None
+                continue
+            orig, masked = (r.logits for r in answer(requests))
+            augmented = combine_fixed(orig, masked, 1.25)
+            if isinstance(step.original, list):  # top_k: the three vectors at the original top 4 ids
+                ids = [i for i, _ in step.original]
+                assert len(ids) == 4 and step.augmented == [(i, augmented[i]) for i in ids]
+            else:
+                assert np.array_equal(step.augmented, augmented) and token == int(np.argmax(augmented))
+
+
+def test_search_refuses_an_over_long_prompt_before_its_first_yield():
+    for config, width in ((AnchoringConfig(mode="off"), 1), (fixed(1.25), 1), (fixed(1.25), 2)):
+        _, search = new_search("abc⟦de⟧fg", config, width, max_positions=6)
+        with pytest.raises(CapacityError, match="prompt length 7 exceeds max_positions 6"):
+            next(search)
+
+
+def test_transport_error_thrown_into_the_search():
+    for width in (1, 2):
+        tokens, search = new_search("abc⟦de⟧", fixed(1.25), width)
+        full = by_hand(search, [])
+        _, search = new_search("abc⟦de⟧", fixed(1.25), width)
+        requests = next(search)
+        for _ in range(2):
+            requests = search.send(answer(requests))
+        with pytest.raises(DecodeError, match="connection reset") as info:
+            search.throw(TransportError("connection reset"))
+        assert isinstance(info.value.__cause__, TransportError)
+        if width == 1:
+            # the two completed steps, not the one being expanded
+            partial = info.value.partial_trace
+            assert partial.finished_reason == "transport_error" and partial.prompt_tokens == tokens
+            assert partial.generated_tokens == list(full[0][1][:2]) and len(partial.wall_times) == 2
+        else:
+            assert info.value.partial_trace is None
 
 
 # -- trace export ------------------------------------------------------------

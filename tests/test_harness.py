@@ -342,6 +342,10 @@ def test_pass_at_k_monotone(rng):
 def test_pass_at_k_validation():
     with pytest.raises(ValueError):
         pass_at_k([[True]], 0)
+    # k follows the int rule with a floor of 1
+    for k in (True, 1.5, "1"):
+        with pytest.raises(ValueError, match="k must be an int"):
+            pass_at_k([[True]], k)
 
 
 # -- bucketing ---------------------------------------------------------------

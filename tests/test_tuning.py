@@ -39,6 +39,10 @@ def test_kfold_uneven_sizes():
 def test_kfold_too_many_folds():
     with pytest.raises(ValueError):
         kfold_split([1, 2], 3, seed=0)
+    # a fold count follows the int rule with a floor of 1
+    for folds in (0, -1, True, 1.5, "2"):
+        with pytest.raises(ValueError, match="folds must be an int"):
+            kfold_split([1, 2], folds, seed=0)
 
 
 def test_kfold_partition_laws_randomized():
