@@ -14,6 +14,7 @@ amplifies the span, w = 0 ignores it, w < 0 reverses it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -108,33 +109,26 @@ def parse_markup(text: str, open_delim: str = DEFAULT_OPEN, close_delim: str = D
     """Parse anchor markup: spans between the delimiters (check_delimiters)
     are anchored; a doubled delimiter escapes to the literal character."""
     check_delimiters(open_delim, close_delim)
+    literal = {open_delim * 2: open_delim, close_delim * 2: close_delim}
+    # the doubled forms first; check_delimiters keeps an open and a close form from matching at one offset
+    pieces = re.split("(" + "|".join(map(re.escape, (*literal, open_delim, close_delim))) + ")", text)
     segments: list[tuple[str, bool]] = []
-    buf: list[str] = []
-    anchored = False
-    i = 0
-    while i < len(text):
-        for delim, opens in ((open_delim, True), (close_delim, False)):
-            if text.startswith(delim, i):
-                if text.startswith(delim * 2, i):
-                    buf.append(delim)
-                    i += 2 * len(delim)
-                    break
-                if opens == anchored:
-                    which = "open" if opens else "close"
-                    raise ValueError(f"unbalanced {which} delimiter at offset {i}")
-                if buf:
-                    segments.append(("".join(buf), anchored))
-                    buf = []
-                anchored = opens
-                i += len(delim)
-                break
+    buf, anchored, offset = pieces[0], False, len(pieces[0])
+    for delim, following in zip(pieces[1::2], pieces[2::2]):
+        if delim in literal:
+            buf += literal[delim]
+        elif (delim == open_delim) == anchored:
+            raise ValueError(f"unbalanced {'open' if anchored else 'close'} delimiter at offset {offset}")
         else:
-            buf.append(text[i])
-            i += 1
+            if buf:
+                segments.append((buf, anchored))
+            buf, anchored = "", not anchored
+        buf += following
+        offset += len(delim) + len(following)
     if anchored:
         raise ValueError("unterminated anchored span")
     if buf or not segments:
-        segments.append(("".join(buf), anchored))
+        segments.append((buf, anchored))
     return PromptSpec(tuple(segments))
 
 

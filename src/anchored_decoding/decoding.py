@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchoring import (
+    AnchorResolution,
     AnchoringConfig,
     PromptSpec,
     combine_confidence,
@@ -81,18 +82,19 @@ def check_search_args(vocab_size: int, config: AnchoringConfig, width: int) -> N
 def _prepare(backend, prompt, config: AnchoringConfig, width: int):
     """Input checks (check_search_args at ``width``) and prompt resolution
     shared by the decoders. ``prompt`` is a PromptSpec (tokenized against the
-    backend's vocabulary) or a pre-resolved (prompt_tokens, AnchorResolution) pair
+    backend's vocabulary) or a pre-resolved (prompt_tokens, AnchorResolution) tuple
     whose prompt_length is len(prompt_tokens), the form a backend without
     surface strings requires. Returns (prompt_tokens, resolution, config),
     the config replaced by None where it does not apply to the prompt
     (AnchoringConfig.applies_to)."""
     check_search_args(backend.vocab.size, config, width)
     if isinstance(prompt, PromptSpec):
-        prompt_tokens, resolution = resolve_anchors(prompt, backend.vocab)
-    else:
-        prompt_tokens, resolution = prompt
-        if resolution.prompt_length != len(prompt_tokens):
-            raise ValueError(f"prompt_length {resolution.prompt_length} != {len(prompt_tokens)} prompt tokens")
+        prompt = resolve_anchors(prompt, backend.vocab)
+    if not (isinstance(prompt, tuple) and len(prompt) == 2 and isinstance(prompt[1], AnchorResolution)):
+        raise ValueError(f"prompt must be a PromptSpec or a (prompt_tokens, AnchorResolution) tuple, not {prompt!r}")
+    prompt_tokens, resolution = prompt
+    if resolution.prompt_length != len(prompt_tokens):
+        raise ValueError(f"prompt_length {resolution.prompt_length} != {len(prompt_tokens)} prompt tokens")
     return list(prompt_tokens), resolution, config if config.applies_to(resolution) else None
 
 

@@ -38,6 +38,10 @@ class TuneSpec:
             raise ValueError("grid must contain 1.0")
         if not (is_int(self.folds) and self.folds >= 2):
             raise ValueError("folds must be an int >= 2")
+        _check_seed(self.seed)
+        for name in ("early_exit", "invert"):  # a truthy "no" is no flag
+            if type(getattr(self, name)) is not bool:
+                raise ValueError(f"{name} must be a bool, not {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -59,41 +63,40 @@ class TuneReport:
         return json.dumps(asdict(self))
 
 
+def _check_seed(seed) -> None:
+    # the int rule with a floor of 0: None would seed from the OS, and -3 deal what 3 does
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an int >= 0, not {seed!r}")
+
+
 def kfold_split(task_ids, folds: int, seed: int) -> list[list]:
     """Deterministic shuffle-then-deal split: disjoint folds covering all ids,
     sizes differing by at most 1."""
     ids = list(task_ids)
     if not (is_int(folds) and 1 <= folds <= len(ids)):
         raise ValueError(f"folds must be an int in 1..{len(ids)} (the task count), not {folds!r}")
-    random.Random(seed).shuffle(ids)
+    _check_seed(seed)
+    random.Random(int(seed)).shuffle(ids)
     out: list[list] = [[] for _ in range(folds)]
     for i, tid in enumerate(ids):
         out[i % folds].append(tid)
     return out
 
 
-def _tie_key(omega: float):
-    # best score ties: closest to 1.0, then the smaller omega
-    return (abs(omega - 1.0), omega)
+def _best(table) -> float:
+    """The omega with the highest value in ``table``, ties to the omega
+    closest to 1.0, then the smaller one: a fold's {omega: Pass@1} and the
+    vote across folds both break ties this way."""
+    return max(table, key=lambda omega: (table[omega], -abs(omega - 1.0), -omega))
 
 
 def _best_on_grid(evaluator, task_ids, spec: TuneSpec) -> float:
-    best_score = None
-    best_omega = None
-    decreases = 0
-    prev = None
+    scores = []
     for omega in spec.grid:
-        score = evaluator(omega, task_ids)
-        if best_score is None or score > best_score:
-            best_score, best_omega = score, omega
-        elif score == best_score and _tie_key(omega) < _tie_key(best_omega):
-            best_omega = omega
-        if spec.early_exit and prev is not None:
-            decreases = decreases + 1 if score < prev else 0
-            if decreases >= 2:
-                break
-        prev = score
-    return best_omega
+        scores.append(evaluator(omega, task_ids))
+        if spec.early_exit and len(scores) >= 3 and scores[-3] > scores[-2] > scores[-1]:
+            break
+    return _best(dict(zip(spec.grid, scores)))
 
 
 def grid_search(evaluator, task_ids, spec: TuneSpec) -> TuneReport:
@@ -112,14 +115,10 @@ def grid_search(evaluator, task_ids, spec: TuneSpec) -> TuneReport:
         best = _best_on_grid(evaluator, tune_set, spec)
         results.append(FoldResult(i, best, evaluator(best, eval_set)))
     bests = [r.best_omega for r in results]
-    counts = Counter(bests)
-    top = max(counts.values())
-    recommended = min((b for b, c in counts.items() if c == top), key=_tie_key)
-    variance = statistics.pvariance(bests) if len(bests) > 1 else 0.0
     return TuneReport(
         folds=tuple(results),
-        recommended=recommended,
-        variance=variance,
+        recommended=_best(Counter(bests)),
+        variance=statistics.pvariance(bests),
         grid=spec.grid,
-        seed=spec.seed,
+        seed=int(spec.seed),
     )

@@ -51,6 +51,31 @@ def test_parse_markup_unbalanced():
         parse_markup("a⟧b")
 
 
+def test_parse_markup_multi_character_delimiters():
+    cases = [
+        ("ab<<cd>>", "<<", ">>", (("ab", False), ("cd", True))),
+        ("a<<<<b", "<<", ">>", (("a<<b", False),)),  # a doubled delimiter is its literal
+        ("<<x>>>>>>", "<<", ">>", (("x>>", True),)),
+        ("<<<<<<x>>", "<<", ">>", (("<<", False), ("x", True))),  # the doubled form is read first
+        ("xabyababbaz", "ab", "ba", (("x", False), ("yab", True), ("z", False))),  # "yab" holds an escaped "ab"
+        ("ababa", "ab", "ba", (("aba", False),)),  # "abab" then "a": no open delimiter is left
+        ("aba1cc2c", "aba", "c", (("1c2", True),)),
+        ("q<<>>r", "<<", ">>", (("q", False), ("r", False))),  # an empty span leaves no segment
+    ]
+    for text, open_delim, close_delim, segments in cases:
+        assert parse_markup(text, open_delim, close_delim).segments == segments, text
+    unbalanced = [
+        ("ab>>cd", "<<", ">>", "unbalanced close delimiter at offset 2"),
+        ("<<a<<b>>", "<<", ">>", "unbalanced open delimiter at offset 3"),
+        ("a<<<<b<<c>>d>>", "<<", ">>", "unbalanced close delimiter at offset 12"),
+        ("zbaab", "ab", "ba", "unbalanced close delimiter at offset 1"),
+        ("aba", "ab", "ba", "unterminated anchored span"),
+    ]
+    for text, open_delim, close_delim, message in unbalanced:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_markup(text, open_delim, close_delim)
+
+
 # -- resolution --------------------------------------------------------------
 
 

@@ -379,6 +379,9 @@ def test_tune_finds_fixture_peak(capsys, tmp_path, monkeypatch):
     calls.clear()
     code, out, err = run_cli(capsys, "tune", "--backend", BACKEND, "--corpus", str(corpus), "--grid", "1.0,nan")
     assert code == 2 and out == "" and "finite" in err and calls == []
+    # as is a negative seed, which would deal the folds its absolute value deals
+    code, out, err = run_cli(capsys, "tune", "--backend", BACKEND, "--corpus", str(corpus), "--tune-seed", "-1")
+    assert code == 2 and out == "" and "seed must be an int >= 0" in err and calls == []
 
 
 def test_analyze_dilution_csv(capsys, tmp_path):

@@ -259,6 +259,25 @@ def test_search_inputs_outside_vocab_rejected_before_any_call(backend):
     assert counting.calls == 0
 
 
+def test_prompt_in_neither_form_rejected_before_any_call(backend):
+    # a markup string, a 2-tuple of strings, a one-item list, a list pair and
+    # a pair whose second item is no AnchorResolution are none of the two forms
+    tokens, resolution = resolve_anchors(parse_markup("ab⟦cd⟧"), backend.vocab)
+    bad = ("ab", "ab⟦cd⟧", ["ab"], ("ab", "cd"), [tokens, resolution], (tokens, resolution, 0),
+           (tokens, frozenset(resolution.token_positions)), None)
+    counting = CountingBackend(backend)
+    decoders = (
+        lambda p: anchored_decode(counting, p, fixed(1.25), LIMITS),
+        lambda p: beam_search_anchored(counting, p, fixed(1.25), 2, LIMITS),
+        lambda p: measure_overhead(counting, p, fixed(1.25), LIMITS),
+    )
+    for decode in decoders:
+        for prompt in bad:
+            with pytest.raises(ValueError, match=r"PromptSpec or a \(prompt_tokens, AnchorResolution\) tuple"):
+                decode(prompt)
+    assert counting.calls == 0
+
+
 # -- beam search -------------------------------------------------------------
 
 

@@ -165,3 +165,21 @@ def test_spec_validation():
     for folds in (1, 2.5, True):  # a count is an int, and a bool is not one
         with pytest.raises(ValueError, match="folds"):
             TuneSpec(folds=folds)
+    # None would deal other folds on every run, -3 the folds 3 deals, True those of 1
+    for seed in (None, -3, True, 1.5, "0"):
+        with pytest.raises(ValueError, match="seed must be an int >= 0"):
+            TuneSpec(seed=seed)
+    # a flag is a bool: "no" is truthy, so it would turn the early exit on
+    for field, value in (("early_exit", "no"), ("early_exit", 0), ("early_exit", None), ("invert", 2), ("invert", "yes")):
+        with pytest.raises(ValueError, match=f"{field} must be a bool"):
+            TuneSpec(**{field: value})
+
+
+def test_kfold_seed_rule():
+    for seed in (None, -3, True, 1.5, "0"):
+        with pytest.raises(ValueError, match="seed must be an int >= 0"):
+            kfold_split(list(range(6)), 2, seed)
+    # a numpy int is an int: it deals what the Python int does, and the report stays JSON
+    assert kfold_split(list(range(20)), 4, np.int64(3)) == kfold_split(list(range(20)), 4, 3)
+    report = grid_search(lambda omega, ids: 0.5, list(range(4)), TuneSpec(folds=2, seed=np.int64(3)))
+    assert json.loads(report.to_json())["seed"] == 3
