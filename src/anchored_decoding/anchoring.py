@@ -14,6 +14,7 @@ amplifies the span, w = 0 ignores it, w < 0 reverses it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -30,6 +31,14 @@ DEFAULT_CLOSE = "⟧"  # ⟧
 def is_int(x) -> bool:
     """The rule for every count and token id: a Python or numpy int, never a bool, though Python makes it one."""
     return type(x) is int or isinstance(x, np.integer)
+
+
+def is_real(x) -> bool:
+    """The rule for every strength: an int (by ``is_int``) or a Python or numpy float, finite as a float; no bool."""
+    try:
+        return (is_int(x) or isinstance(x, (float, np.floating))) and math.isfinite(x)
+    except OverflowError:  # an int past float's range
+        return False
 
 
 @dataclass(frozen=True)
@@ -63,10 +72,10 @@ class AnchoringConfig:
     def __post_init__(self):
         if self.mode not in ("off", "fixed", "confidence"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "fixed" and not np.isfinite(self.omega):
-            raise ValueError("omega must be finite")
-        if self.mode == "confidence" and not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lambda must be finite and nonnegative")
+        if self.mode == "fixed" and not is_real(self.omega):
+            raise ValueError(f"omega must be a finite real number, not {self.omega!r}")
+        if self.mode == "confidence" and not (is_real(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be a finite real number >= 0, not {self.lam!r}")
         if self.top_k is not None and not (is_int(self.top_k) and self.top_k >= 1):
             raise ValueError("top_k must be a positive int")
         if self.mode == "confidence" and self.top_k is not None:

@@ -101,7 +101,7 @@ def _proj(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("sd,de->se", x, w)
 
 
-_STREAMS = 8  # contexts a backend keeps rows for: an anchored pair, beam siblings, a second worker's pair
+_STREAMS = 8  # contexts a backend keeps rows for: an anchored pair (one call), beam siblings, a second worker's pair
 _BLOCK = 64  # rows per kernel call: a long block skips most of its masked upper triangle and bounds its scores
 
 
@@ -112,6 +112,8 @@ class ToyBackend:
     keys and values of the last _STREAMS contexts it scored as the streams of
     one store, so a context that extends one of them computes only its new
     rows; the forward is row-invariant, so those bytes equal a cold forward's.
+    An unmasked miss right after a masked call of the same prompt also
+    computes, in the same kernel calls, the masked pass that follows it.
     The store is guarded by a lock: instances are safe to share across
     concurrent decodes.
     """
@@ -139,12 +141,15 @@ class ToyBackend:
         self._kv = self._new_kv(0, _STREAMS)  # every stream's keys and values, grown by doubling
         self._n = [0] * _STREAMS  # rows stream s holds; 0: unused
         self._tokens = np.full((_STREAMS, config.max_positions), -1, dtype=np.int64)  # row s: stream s's tokens
-        self._tips: dict[bytes, tuple] = {}  # a stream's tokens' bytes: (stream, scores), least recently used first
+        self._tips: dict[bytes, tuple] = {}  # tokens' bytes: (stream, scores, unasked guess), least recently used first
+        self._last = None  # the last call's (mask positions, effective context), if it was masked
+        counters = "calls full_hits rows_computed rows_reused siblings_computed sibling_hits"
+        self._counts = dict.fromkeys(counters.split(), 0)
 
     # -- forward ------------------------------------------------------------
 
     def _embed(self, tokens: np.ndarray, start: int = 0) -> np.ndarray:
-        return self.tok_emb[tokens] + self.pos_emb[start : start + len(tokens)]
+        return self.tok_emb[tokens] + self.pos_emb[start : start + tokens.shape[-1]]
 
     def _new_kv(self, rows: int, *streams: int) -> tuple[np.ndarray, np.ndarray]:
         """Room for ``rows`` rows' keys, (layers, heads, head_dim, rows), and
@@ -156,44 +161,47 @@ class ToyBackend:
         return np.empty((*streams, L, H, hd, rows)), np.empty((*streams, L, H, rows, hd))
 
     def _rows(self, kv, start: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Run the stack on embedded rows start..start+R-1 (h, shape (R, d))
-        of a context whose earlier rows' keys and values ``kv`` holds; writes
-        theirs after them and returns (final logits, attention row).
+        """Run the stack on embedded rows start..start+R-1 of S contexts (h,
+        shape (R, S, d)) whose earlier rows' keys and values ``kv`` holds;
+        writes theirs after them and returns (final logits, attention row)
+        per context. In ``kv`` context s's heads follow context s-1's, so the
+        S contexts run as one with S times the heads.
 
         The attention row is the last layer's final-position row averaged
         over heads. Nothing else of the last layer is read, so past its keys
-        and values it runs for the final row alone.
+        and values it runs for the final rows alone.
 
         Row-invariant: a row's bytes do not depend on how the rows were split
-        into calls. Every product is an einsum (no BLAS) whose sum is its
-        outer loop, so each output is a sequential sum; the softmax
-        normaliser is sequential too; and a block's causal mask only adds
-        exact zeros at the end of those sums.
+        into calls, or on the contexts beside it. Every product is an einsum
+        (no BLAS) whose sum is its outer loop, so each output is a sequential
+        sum; the softmax normaliser is sequential too; and a block's causal
+        mask only adds exact zeros at the end of those sums.
         """
         cfg = self.config
-        R, d = h.shape
+        R, S, d = h.shape
         H, hd = cfg.n_heads, d // cfg.n_heads
         end = start + R
         # a block's earlier rows must not see its later ones; one row sees everything
         future = np.arange(start, end)[:, None] < np.arange(end) if R > 1 else None
         keys, values = kv
+        h = h.reshape(R * S, d)  # row r of context s at r·S + s: the order of qkv's heads and attention's output
         for li, p in enumerate(self.layers):
             qkv = _proj(_layernorm(h), p["wqkv"])
-            keys[li, :, :, start:end] = qkv[:, d : 2 * d].reshape(R, H, hd).transpose(1, 2, 0)
-            values[li, :, start:end] = qkv[:, 2 * d :].reshape(R, H, hd).transpose(1, 0, 2)
-            if li == len(self.layers) - 1:  # keep only the row the logits read
-                h, qkv, future = h[-1:], qkv[-1:], None
-            q = qkv[:, :d].reshape(len(h), H, hd).transpose(1, 0, 2)
+            keys[li, :, :, start:end] = qkv[:, d : 2 * d].reshape(R, S * H, hd).transpose(1, 2, 0)
+            values[li, :, start:end] = qkv[:, 2 * d :].reshape(R, S * H, hd).transpose(1, 0, 2)
+            if li == len(self.layers) - 1:  # keep only the rows the logits read
+                h, qkv, future, R = h[-S:], qkv[-S:], None, 1
+            q = qkv[:, :d].reshape(R, S * H, hd).transpose(1, 0, 2)
             attn = np.einsum("hrd,hdt->hrt", q, keys[li, :, :, :end])
             if future is not None:
                 np.copyto(attn, -np.inf, where=future)
-            attn -= attn.max(axis=-1, keepdims=True)
+            attn -= np.maximum.reduce(attn, axis=-1, keepdims=True)  # the method's arithmetic, without its overhead
             np.exp(attn, out=attn)
             attn /= np.add.accumulate(attn, axis=-1)[..., -1:]  # in order, so a masked tail adds exact zeros
-            ctx = np.einsum("hrt,htd->rhd", attn, values[li, :, :end]).reshape(len(h), d)
+            ctx = np.einsum("hrt,htd->rhd", attn, values[li, :, :end]).reshape(R * S, d)
             h = h + _proj(ctx, p["wo"])
             h = h + _proj(np.tanh(_proj(_layernorm(h), p["w1"])), p["w2"])
-        return _proj(_layernorm(h), self.unembed)[0], np.add.reduce(attn[:, -1, :], axis=0) / H  # mean over heads
+        return _proj(_layernorm(h), self.unembed), np.add.reduce(attn.reshape(S, H, end), axis=1) / H  # mean over heads
 
     def _extend(self, kv, start: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_rows`` in blocks of at most _BLOCK rows: the same bytes as one call."""
@@ -203,16 +211,52 @@ class ToyBackend:
 
     # -- prefix cache -------------------------------------------------------
 
-    def _cached_forward(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scores of an effective context, computing only the rows no stream holds. Call under the lock."""
-        key = tokens.tobytes()
+    def _cached_forward(self, tokens: np.ndarray, masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Scores of an effective context masked at ``masks``, computing only
+        the rows no stream holds. An unmasked miss right after a masked call of
+        the same prompt, from any thread, also computes itself masked at that
+        call's positions and keeps it as a tip, unless it is one. Call under the lock."""
+        key, counts = tokens.tobytes(), self._counts
+        last, self._last = self._last, (masks, tokens) if masks else None
+        counts["calls"] += 1
         entry = self._tips.pop(key, None)
-        if entry is None:
-            s, start = self._stream_for(tokens, key)
-            entry = s, self._extend((self._kv[0][s], self._kv[1][s]), start, self._embed(tokens[start:], start))
-            self._tokens[s, start : len(tokens)] = tokens[start:]
-            self._n[s] = len(tokens)
-        self._tips[key] = entry  # (re-)inserted: now the most recently used
+        if entry is not None:
+            counts["full_hits"] += 1
+            counts["sibling_hits"] += entry[2]
+            self._tips[key] = (*entry[:2], False)  # re-inserted: now the most recently used
+            return entry[1]
+        T, sibling = len(tokens), None
+        if last and not masks and last[0][-1] < T:
+            positions, masked = last
+            sibling = tokens.copy()
+            sibling[positions] = self.vocab.mask_id
+            p, sib_key = positions[-1] + 1, sibling.tobytes()
+            if sibling[:p].tobytes() != masked[:p].tobytes() or sib_key == key or sib_key in self._tips:
+                sibling = None
+        s, start = self._stream_for(tokens, key)
+        keys, values = self._kv
+        if sibling is None:
+            h = self._embed(tokens[start:], start)[:, None]
+            logits, rows = self._extend((keys[s], values[s]), start, h)
+        else:
+            self._n[s] = T  # claimed, so the sibling takes another stream
+            s2, first = self._stream_for(sibling, sib_key)
+            start = min(start, first)
+            h = self._embed(np.array((tokens, sibling))[:, start:], start).transpose(1, 0, 2)
+            # both streams' rows, the sibling's heads after the original's, written back once computed
+            kv = (np.concatenate((keys[s, ..., :T], keys[s2, ..., :T]), 1),
+                  np.concatenate((values[s, ..., :T, :], values[s2, ..., :T, :]), 1))
+            logits, rows = self._extend(kv, start, h)
+            H = self.config.n_heads
+            keys[s, ..., start:T], keys[s2, ..., start:T] = kv[0][:, :H, :, start:], kv[0][:, H:, :, start:]
+            values[s, ..., start:T, :], values[s2, ..., start:T, :] = kv[1][:, :H, start:], kv[1][:, H:, start:]
+            self._tokens[s2, :T], self._n[s2] = sibling, T
+            self._tips[sib_key] = (s2, (logits[1], rows[1]), True)
+            counts["siblings_computed"] += 1
+        counts["rows_computed"] += h.shape[1] * (T - start)
+        counts["rows_reused"] += h.shape[1] * start
+        self._tokens[s, start:T], self._n[s] = tokens[start:], T
+        entry = self._tips[key] = (s, (logits[0], rows[0]), False)  # the original last: now the most recently used
         return entry[1]
 
     def _stream_for(self, tokens: np.ndarray, key: bytes) -> tuple[int, int]:
@@ -237,7 +281,7 @@ class ToyBackend:
         shared = min(int(same[src]), T - 1)  # the last row is always computed: its scores are the answer
         dst = src
         if shared < n[src]:  # an unused stream, else the least recently used other one
-            dst = n.index(0) if 0 in n else next(s for s, _ in self._tips.values() if s != src)
+            dst = n.index(0) if 0 in n else next(s for s, *_ in self._tips.values() if s != src)
         self._tips.pop(self._tokens[dst, : n[dst]].tobytes(), None)  # before its tokens change
         if dst != src:
             keys, values = self._kv
@@ -255,7 +299,7 @@ class ToyBackend:
         if masks:
             tokens[masks] = self.vocab.mask_id
         with self._lock:
-            logits, att_row = self._cached_forward(tokens)
+            logits, att_row = self._cached_forward(tokens, masks)
         # copies: the cache keeps its own
         return ScoreResult(logits=logits.copy(), attention=att_row.copy() if want_attention else None)
 
@@ -269,8 +313,14 @@ class ToyBackend:
             raise ValueError(f"embedded input must have shape (T, {d}) with T >= 1, not {h.shape}")
         if len(h) > self.max_positions:
             raise CapacityError(f"context length {len(h)} exceeds max_positions {self.max_positions}")
-        logits, _ = self._extend(self._new_kv(len(h)), 0, h)
-        return logits
+        return self._extend(self._new_kv(len(h)), 0, h[:, None])[0][0]
+
+    def stats(self) -> dict:
+        """A snapshot of the cache's counters, with rows computed per call and the share of siblings asked for."""
+        with self._lock:
+            c = dict(self._counts)
+        return {**c, "rows_per_call": c["rows_computed"] / max(c["calls"], 1),
+                "sibling_hit_share": c["sibling_hits"] / max(c["siblings_computed"], 1)}
 
     def embed(self, context_tokens) -> np.ndarray:
         """Embedded input (token + positional) for the given context."""

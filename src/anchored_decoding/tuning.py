@@ -5,13 +5,12 @@ exit stops ascending the grid after two consecutive strict decreases."""
 from __future__ import annotations
 
 import json
-import math
 import random
 import statistics
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .anchoring import is_int
+from .anchoring import is_int, is_real
 
 
 DEFAULT_GRID = tuple(round(1.0 + 0.05 * i, 2) for i in range(21))  # 1.00 to 2.00 in 0.05 steps
@@ -30,8 +29,9 @@ class TuneSpec:
     def __post_init__(self):
         if not self.grid:
             raise ValueError("grid must be non-empty")
-        if not all(math.isfinite(omega) for omega in self.grid):  # a nan compares false, so it passes the next check
-            raise ValueError("grid values must be finite")
+        for omega in self.grid:  # a nan compares false, so it would pass the next check; True would be 1.0
+            if not is_real(omega):
+                raise ValueError(f"grid values must be finite real numbers, not {omega!r}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly ascending")
         if 1.0 not in self.grid:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,16 @@ def test_config_validation():
     for lam in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             AnchoringConfig(mode="confidence", lam=lam)
+    # a strength is a finite int or float: a bool is not 1.0, and a string is no number
+    for value in (True, False, np.bool_(True), "1.5", None, [1.5], float("nan"), np.float32("inf"), 10**400, -(10**400)):
+        with pytest.raises(ValueError, match=f"omega must be a finite real number, not {re.escape(repr(value))}"):
+            AnchoringConfig(omega=value)
+    for value in (True, "1", None, np.bool_(False), 10**400):
+        with pytest.raises(ValueError, match=f"lambda must be a finite real number >= 0, not {re.escape(repr(value))}"):
+            AnchoringConfig(mode="confidence", lam=value)
+    for omega, lam in ((2, 0), (np.float32(1.5), np.int64(2)), (np.int8(-1), 0.5)):
+        assert AnchoringConfig(omega=omega).omega == omega
+        assert AnchoringConfig(mode="confidence", lam=lam).lam == lam
     for top_k in (0, 2.5, True):  # a count is an int, and a bool is not one
         with pytest.raises(ValueError, match="top_k"):
             AnchoringConfig(top_k=top_k)

@@ -29,7 +29,8 @@ def one_block(backend, tokens, masks=()):
     """The kernel run once over every row of a fresh context: no cache, no split."""
     tokens = np.array(tokens, dtype=np.int64)
     tokens[list(masks)] = backend.vocab.mask_id
-    return backend._rows(backend._new_kv(len(tokens)), 0, backend._embed(tokens))
+    logits, rows = backend._rows(backend._new_kv(len(tokens)), 0, backend._embed(tokens)[:, None])
+    return logits[0], rows[0]
 
 
 def same_bytes(result, want):
@@ -88,7 +89,7 @@ def test_rows_computed_are_only_the_new_ones(rng):
     backend = ToyBackend(model(3, SHAPES[0]))
     computed = []
     rows = backend._rows
-    backend._rows = lambda kv, start, h: computed.append(len(h)) or rows(kv, start, h)
+    backend._rows = lambda kv, start, h: computed.append(h.shape[0] * h.shape[1]) or rows(kv, start, h)
     prompt = rng.integers(2, 32, size=40).tolist()
     backend.score(prompt)
     assert computed == [40]
@@ -103,7 +104,7 @@ def test_the_least_recently_used_stream_is_the_one_reused():
     backend = ToyBackend(model(6, SHAPES[0]))
     computed = []
     rows = backend._rows
-    backend._rows = lambda kv, start, h: computed.append(len(h)) or rows(kv, start, h)
+    backend._rows = lambda kv, start, h: computed.append(h.shape[0] * h.shape[1]) or rows(kv, start, h)
     contexts = [[2 + i] * 10 for i in range(_STREAMS)]
     for ctx in contexts:
         backend.score(ctx)
@@ -197,3 +198,180 @@ def test_threads_extending_interleaved_prefixes_get_serial_bytes(seed):
         # every step equals the one-block forward, not only the sampled ones
         for (c, m), g in zip(requests[i][::7], got[i][::7]):
             assert g.tobytes() == one_block(shared, c, sorted(m))[0].tobytes()
+
+
+def kernel_log(backend):
+    """Wraps ``_rows``: each kernel call appends (contexts, first row, rows)."""
+    log = []
+    rows = backend._rows
+
+    def counted(kv, start, h):
+        log.append((h.shape[1], start, h.shape[0]))
+        return rows(kv, start, h)
+
+    backend._rows = counted
+    return log
+
+
+def anchored_walk(rng, vocab_size, steps, prompt_len=30):
+    """Contexts an anchored beam expands: each one new, one token past an
+    earlier one (the last, or a fork off any), never holding the mask id."""
+    contexts, seen = [rng.integers(2, vocab_size, size=prompt_len).tolist()], set()
+    while len(contexts) < steps:
+        base = contexts[-1] if rng.random() < 0.6 else contexts[int(rng.integers(0, len(contexts)))]
+        ctx = base + [int(rng.integers(2, vocab_size))]
+        if tuple(ctx) not in seen:
+            seen.add(tuple(ctx))
+            contexts.append(ctx)
+    return contexts
+
+
+def test_anchored_pair_through_forks_equals_one_block(rng):
+    # both passes of every step are the one-block bytes; from the second step on the
+    # masked pass was computed with the original one, so it computes no row itself
+    for seed, shape in enumerate(SHAPES):
+        backend = ToyBackend(model(seed, shape))
+        log = kernel_log(backend)
+        anchors = [4, 5, 6, 7]
+        for i, ctx in enumerate(anchored_walk(rng, shape[3], 40)):
+            want = one_block(backend, ctx), one_block(backend, ctx, anchors)
+            assert same_bytes(backend.score(ctx, (), want_attention=True), want[0]), (seed, i)
+            del log[:]
+            assert same_bytes(backend.score(ctx, anchors, want_attention=True), want[1]), (seed, i)
+            assert i == 0 or log == [], (seed, i, log)
+        assert backend.stats()["siblings_computed"] == backend.stats()["sibling_hits"] == 39
+
+
+def test_a_sibling_takes_a_stream_whose_old_tip_is_then_computed_again():
+    backend = ToyBackend(model(8, SHAPES[0]))
+    contexts = [[2 + i] * 10 for i in range(_STREAMS)]
+    for ctx in contexts:
+        backend.score(ctx)
+    backend.score([20] * 12, {0})  # a masked pass: takes the least recently used stream
+    streams_of = {key: entry[0] for key, entry in backend._tips.items()}
+    step = [21] * 12
+    backend.score(step)  # its sibling, step masked at 0, lands on another stream that held a tip
+    sibling = np.array(step)
+    sibling[0] = backend.vocab.mask_id
+    s = backend._tips[sibling.tobytes()][0]
+    (old,) = [key for key, stream in streams_of.items() if stream == s]
+    assert old not in backend._tips
+    old = np.frombuffer(old, dtype=np.int64).tolist()
+    want = one_block(backend, old)
+    log = kernel_log(backend)
+    assert same_bytes(backend.score(old, want_attention=True), want)
+    assert log == [(1, 0, len(old))]  # computed, not read from the stream the sibling took
+    assert same_bytes(backend.score(old + [5], want_attention=True), one_block(backend, old + [5]))
+
+
+def test_a_kernel_error_leaves_no_stream_holding_rows_it_did_not_finish():
+    # the kernel writes its rows, then fails: one context alone, then an anchored pair
+    backend = ToyBackend(model(10, SHAPES[0]))
+    prompt = list(range(2, 22))
+    rows = backend._rows
+
+    def fail(kv, start, h):
+        rows(kv, start, h)
+        raise RuntimeError("kernel failed")
+
+    for ctx, masks in ((prompt, ()), (prompt, (2, 3)), (prompt + [5], ())):
+        backend._rows = fail
+        with pytest.raises(RuntimeError):
+            backend.score(ctx, masks)
+        backend._rows = rows
+        backend.score(ctx, masks)
+    backend._rows = fail
+    with pytest.raises(RuntimeError):
+        backend.score(prompt + [5, 6])  # with its sibling at {2, 3}
+    backend._rows = rows
+    for ctx in (prompt + [5, 6], prompt + [5, 6, 7]):
+        for masks in ((), (2, 3)):
+            assert same_bytes(backend.score(ctx, masks, want_attention=True), one_block(backend, ctx, masks))
+
+
+def test_a_wasted_guess_changes_nothing(rng):
+    for seed, shape in enumerate(SHAPES):
+        backend = ToyBackend(model(seed, shape))
+        prompt = rng.integers(2, shape[3], size=20).tolist()
+        backend.score(prompt)
+        backend.score(prompt, {2, 3})
+        step = prompt + [7]
+        # a greedy step right after a masked pass: the sibling at {2, 3} is computed in vain
+        assert same_bytes(backend.score(step, want_attention=True), one_block(backend, step))
+        assert same_bytes(backend.score(step, {9, 1}, want_attention=True), one_block(backend, step, [1, 9]))
+        stats = backend.stats()
+        assert (stats["siblings_computed"], stats["sibling_hits"]) == (1, 0)
+        assert same_bytes(backend.score(step, {2, 3}, want_attention=True), one_block(backend, step, [2, 3]))
+        assert backend.stats()["sibling_hits"] == 1  # asked for after all: now it is returned
+        # a new prompt right after a masked pass, as a greedy decode after an anchored one: no guess at all
+        other = [(t + 1) % shape[3] or 2 for t in prompt[:4]] + prompt[4:]
+        assert same_bytes(backend.score(other, want_attention=True), one_block(backend, other))
+        assert backend.stats()["siblings_computed"] == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_threads_stepping_anchored_pairs_get_serial_bytes(seed):
+    # a guess follows the backend's last call, whichever thread made it: after another
+    # thread's masked call of another prompt nothing is guessed, and no bytes change
+    rng = np.random.default_rng(seed)
+    config = model(seed, SHAPES[0])
+    anchors = [frozenset({1, 2, 3}), frozenset({10, 11}), frozenset({5})]
+    branches = [[2 + i] + rng.integers(2, 32, size=119).tolist() for i in range(3)]  # three prompts from the first token
+    requests = [[(b[:n], m) for n in range(20, 121) for m in (frozenset(), a)] for b, a in zip(branches, anchors)]
+    serial = []
+    for reqs in requests:
+        alone = ToyBackend(config)
+        serial.append([alone.score(c, m).logits for c, m in reqs])
+    shared = ToyBackend(config)
+    got = [[] for _ in requests]
+    start = threading.Barrier(len(requests))
+
+    def run(i):
+        start.wait()
+        got[i] = [shared.score(c, m).logits for c, m in requests[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(requests))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(len(requests)):
+        assert len(got[i]) == len(requests[i])
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got[i], serial[i]))
+    # no count was lost, and every guess had the caller's own positions and was asked for
+    stats = shared.stats()
+    assert stats["calls"] == sum(map(len, requests))
+    assert stats["full_hits"] == stats["sibling_hits"] == stats["siblings_computed"]
+    assert stats["siblings_computed"] <= sum(len(reqs) // 2 - 1 for reqs in requests)
+
+
+def test_stats_match_counted_truth(rng):
+    backend = ToyBackend(model(9, SHAPES[1]))
+    log = kernel_log(backend)
+    calls = hits = masked_without_rows = 0
+    contexts = anchored_walk(rng, 16, 30, prompt_len=12)
+    requests = [(c, m) for c in contexts for m in ((), (1, 2))]
+    requests += [(c + [3], ()) for c in contexts[::5]]  # greedy steps: each guesses in vain
+    requests += [(c, (0,)) for c in contexts[::7]]  # masked elsewhere, some right after a guess
+    for ctx, masks in requests:
+        before = len(log)
+        backend.score(ctx, masks)
+        calls += 1
+        hits += len(log) == before
+        masked_without_rows += bool(masks) and len(log) == before
+    stats = backend.stats()
+    assert stats["calls"] == calls == len(requests)
+    assert stats["full_hits"] == hits
+    assert stats["rows_computed"] == sum(s * r for s, _, r in log)
+    assert stats["rows_reused"] == sum(s * start for s, start, _ in log)  # each context is under 64 rows: one call
+    assert stats["siblings_computed"] == sum(s == 2 for s, _, _ in log)
+    assert stats["sibling_hits"] == masked_without_rows  # no masked context is asked for twice
+    assert 0 < stats["sibling_hits"] < stats["siblings_computed"]
+    assert stats["rows_per_call"] == stats["rows_computed"] / calls
+    assert stats["sibling_hit_share"] == stats["sibling_hits"] / stats["siblings_computed"]

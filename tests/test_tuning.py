@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,12 @@ def test_spec_validation():
     for folds in (1, 2.5, True):  # a count is an int, and a bool is not one
         with pytest.raises(ValueError, match="folds"):
             TuneSpec(folds=folds)
+    # a grid value is a finite int or float: True would be taken as 1.0
+    cases = ((True, (True, 1.5)), ("1.5", (1.0, "1.5")), (None, (1.0, None)), (np.bool_(True), (np.bool_(True), 2.0)), (10**400, (1.0, 10**400)))
+    for bad, grid in cases:
+        with pytest.raises(ValueError, match=f"grid values must be finite real numbers, not {re.escape(repr(bad))}"):
+            TuneSpec(grid=grid, folds=2)
+    assert TuneSpec(grid=(np.float64(1.0), np.float32(1.5), 2), folds=2).grid[2] == 2
     # None would deal other folds on every run, -3 the folds 3 deals, True those of 1
     for seed in (None, -3, True, 1.5, "0"):
         with pytest.raises(ValueError, match="seed must be an int >= 0"):
