@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .anchoring import is_int
+from .anchoring import is_int, is_real
 from .errors import UnsupportedOperationError
 
 if TYPE_CHECKING:
@@ -60,7 +60,7 @@ def gradient_attention(backend, context_tokens, delta: float = 1e-3) -> np.ndarr
     exposing embed()/forward_from_embeddings() (the toy model or a test
     double); remote backends cannot support it. delta must be finite and > 0.
     """
-    if not 0 < delta < np.inf:
+    if not (is_real(delta) and delta > 0):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     if not (hasattr(backend, "embed") and hasattr(backend, "forward_from_embeddings")):
         raise UnsupportedOperationError("gradient probes need embedding access (toy backend only)")

@@ -151,21 +151,22 @@ class ToyBackend:
     def _embed(self, tokens: np.ndarray, start: int = 0) -> np.ndarray:
         return self.tok_emb[tokens] + self.pos_emb[start : start + tokens.shape[-1]]
 
-    def _new_kv(self, rows: int, *streams: int) -> tuple[np.ndarray, np.ndarray]:
-        """Room for ``rows`` rows' keys, (layers, heads, head_dim, rows), and
-        values, (layers, heads, rows, head_dim), after a leading axis of
-        ``streams`` when given. Keys lie rows-last, so q·k runs over a
-        contiguous vector of rows and sums over head_dim outside it."""
+    def _new_kv(self, rows: int, streams: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Room for ``rows`` rows of ``streams`` contexts: keys (streams,
+        layers, heads, head_dim, rows) and values (streams, layers, heads,
+        rows, head_dim). Keys lie rows-last, so q·k runs over a contiguous
+        vector of rows and sums over head_dim outside it."""
         L, H = self.config.n_layers, self.config.n_heads
         hd = self.config.embed_dim // H
-        return np.empty((*streams, L, H, hd, rows)), np.empty((*streams, L, H, rows, hd))
+        return np.empty((streams, L, H, hd, rows)), np.empty((streams, L, H, rows, hd))
 
     def _rows(self, kv, start: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Run the stack on embedded rows start..start+R-1 of S contexts (h,
         shape (R, S, d)) whose earlier rows' keys and values ``kv`` holds;
         writes theirs after them and returns (final logits, attention row)
-        per context. In ``kv`` context s's heads follow context s-1's, so the
-        S contexts run as one with S times the heads.
+        per context. ``kv`` has a leading axis of the S contexts: a new
+        ``_new_kv(rows, S)``, or a view of S streams of the store. Every
+        product carries that axis as a batch axis.
 
         The attention row is the last layer's final-position row averaged
         over heads. Nothing else of the last layer is read, so past its keys
@@ -184,21 +185,22 @@ class ToyBackend:
         # a block's earlier rows must not see its later ones; one row sees everything
         future = np.arange(start, end)[:, None] < np.arange(end) if R > 1 else None
         keys, values = kv
-        h = h.reshape(R * S, d)  # row r of context s at r·S + s: the order of qkv's heads and attention's output
+        h = h.reshape(R * S, d)  # row r of context s at r·S + s, the order of the (R, S, H, hd) reshapes
         for li, p in enumerate(self.layers):
+            k, v = keys[:, li], values[:, li]  # (S, H, hd, rows) and (S, H, rows, hd)
             qkv = _proj(_layernorm(h), p["wqkv"])
-            keys[li, :, :, start:end] = qkv[:, d : 2 * d].reshape(R, S * H, hd).transpose(1, 2, 0)
-            values[li, :, start:end] = qkv[:, 2 * d :].reshape(R, S * H, hd).transpose(1, 0, 2)
+            k[..., start:end] = qkv[:, d : 2 * d].reshape(R, S, H, hd).transpose(1, 2, 3, 0)
+            v[:, :, start:end] = qkv[:, 2 * d :].reshape(R, S, H, hd).transpose(1, 2, 0, 3)
             if li == len(self.layers) - 1:  # keep only the rows the logits read
                 h, qkv, future, R = h[-S:], qkv[-S:], None, 1
-            q = qkv[:, :d].reshape(R, S * H, hd).transpose(1, 0, 2)
-            attn = np.einsum("hrd,hdt->hrt", q, keys[li, :, :, :end])
+            q = qkv[:, :d].reshape(R, S, H, hd).transpose(1, 2, 0, 3)
+            attn = np.einsum("shrd,shdt->shrt", q, k[..., :end])
             if future is not None:
                 np.copyto(attn, -np.inf, where=future)
             attn -= np.maximum.reduce(attn, axis=-1, keepdims=True)  # the method's arithmetic, without its overhead
             np.exp(attn, out=attn)
             attn /= np.add.accumulate(attn, axis=-1)[..., -1:]  # in order, so a masked tail adds exact zeros
-            ctx = np.einsum("hrt,htd->rhd", attn, values[li, :, :end]).reshape(R * S, d)
+            ctx = np.einsum("shrt,shtd->rshd", attn, v[:, :, :end]).reshape(R * S, d)
             h = h + _proj(ctx, p["wo"])
             h = h + _proj(np.tanh(_proj(_layernorm(h), p["w1"])), p["w2"])
         return _proj(_layernorm(h), self.unembed), np.add.reduce(attn.reshape(S, H, end), axis=1) / H  # mean over heads
@@ -234,28 +236,23 @@ class ToyBackend:
             if sibling[:p].tobytes() != masked[:p].tobytes() or sib_key == key or sib_key in self._tips:
                 sibling = None
         s, start = self._stream_for(tokens, key)
-        keys, values = self._kv
-        if sibling is None:
-            h = self._embed(tokens[start:], start)[:, None]
-            logits, rows = self._extend((keys[s], values[s]), start, h)
-        else:
+        contexts, step = tokens[None], 1
+        if sibling is not None:
             self._n[s] = T  # claimed, so the sibling takes another stream
             s2, first = self._stream_for(sibling, sib_key)
-            start = min(start, first)
-            h = self._embed(np.array((tokens, sibling))[:, start:], start).transpose(1, 0, 2)
-            # both streams' rows, the sibling's heads after the original's, written back once computed
-            kv = (np.concatenate((keys[s, ..., :T], keys[s2, ..., :T]), 1),
-                  np.concatenate((values[s, ..., :T, :], values[s2, ..., :T, :]), 1))
-            logits, rows = self._extend(kv, start, h)
-            H = self.config.n_heads
-            keys[s, ..., start:T], keys[s2, ..., start:T] = kv[0][:, :H, :, start:], kv[0][:, H:, :, start:]
-            values[s, ..., start:T, :], values[s2, ..., start:T, :] = kv[1][:, :H, start:], kv[1][:, H:, start:]
-            self._tokens[s2, :T], self._n[s2] = sibling, T
+            contexts, step, start = np.stack((tokens, sibling)), s2 - s, min(start, first)
+        new, (keys, values) = contexts[:, start:], self._kv
+        S, h = len(new), self._embed(new, start).transpose(1, 0, 2)
+        # streams s and s2 as one view of the store: a negative step reaches one below s, stream 0 included
+        logits, rows = self._extend((keys[s::step][:S], values[s::step][:S]), start, h)
+        self._tokens[s::step][:S, start:T] = new
+        if sibling is not None:
+            self._n[s2] = T
             self._tips[sib_key] = (s2, (logits[1], rows[1]), True)
             counts["siblings_computed"] += 1
-        counts["rows_computed"] += h.shape[1] * (T - start)
-        counts["rows_reused"] += h.shape[1] * start
-        self._tokens[s, start:T], self._n[s] = tokens[start:], T
+        counts["rows_computed"] += S * (T - start)
+        counts["rows_reused"] += S * start
+        self._n[s] = T
         entry = self._tips[key] = (s, (logits[0], rows[0]), False)  # the original last: now the most recently used
         return entry[1]
 
@@ -339,7 +336,7 @@ class CountingBackend:
         self.masked_calls = 0
 
     def score(self, context_tokens, mask_positions=frozenset(), want_attention=False) -> ScoreResult:
+        masks = list(mask_positions) if np.iterable(mask_positions) else mask_positions  # read once, or refused inside
         self.calls += 1
-        if mask_positions:
-            self.masked_calls += 1
-        return self.inner.score(context_tokens, mask_positions, want_attention=want_attention)
+        self.masked_calls += bool(masks)
+        return self.inner.score(context_tokens, masks, want_attention=want_attention)

@@ -166,6 +166,8 @@ class LogitServer:
     ``with`` block."""
 
     def __init__(self, backend, host: str = "127.0.0.1", port: int = 0):
+        if not (is_int(port) and 0 <= port <= 65535):
+            raise ValueError(f"port must be an int in 0..65535, not {port!r}")
         self._server = _Server((host, port), backend)
         self._thread = threading.Thread(target=self._server.serve_forever, args=(_POLL_INTERVAL,), daemon=True)
         self._thread.start()

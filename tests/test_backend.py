@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from anchored_decoding import AnchoringConfig, DecodeLimits, RemoteBackend, anchored_decode, parse_markup
-from anchored_decoding import ToyBackend, ToyModelConfig, VocabSpec
+from anchored_decoding import CountingBackend, ToyBackend, ToyModelConfig, VocabSpec
 from anchored_decoding.anchoring import softmax
 from anchored_decoding.errors import CapacityError
 from anchored_decoding.errors import MaskIndexError
@@ -192,7 +192,7 @@ def test_non_int_mask_position_rejected(backend):
     meta = handle_request(backend, json.dumps({"v": 1, "op": "meta"}))
     masked = handle_request(backend, json.dumps({"v": 1, "op": "score", "tokens": [2, 3], "mask_positions": [1]}))
     with StubServer(meta, masked) as stub, RemoteBackend(*stub.address, timeout=5) as remote:
-        for probe in (backend, remote):
+        for probe in (backend, remote, CountingBackend(backend)):
             for bad in (True, 1.7, "1"):
                 with pytest.raises(ValueError, match="not an int in 0..1"):
                     probe.score([2, 3], mask_positions={bad})
@@ -202,6 +202,17 @@ def test_non_int_mask_position_rejected(backend):
                 with pytest.raises(ValueError, match="mask_positions must be an iterable of ints in 0..1"):
                     probe.score([2, 3], mask_positions=bad)
             assert np.array_equal(probe.score([2, 3], {np.int64(1)}).logits, backend.score([2, 3], {1}).logits)
+
+
+def test_counting_backend_reads_mask_positions_once_as_the_backend_does(backend):
+    # an array is counted by what it holds, and a one-shot iterator is read once: counted and passed on alike
+    counting = CountingBackend(backend)
+    for masks, want in ((np.array([0]), [0]), (iter(()), []), (np.array([0, 1]), [0, 1])):
+        before = counting.masked_calls
+        got = counting.score([2, 3], masks).logits
+        assert counting.masked_calls - before == bool(want), masks
+        assert np.array_equal(got, backend.score([2, 3], want).logits), masks
+    assert counting.calls == 3
 
 
 def test_empty_context_rejected(backend):

@@ -210,6 +210,12 @@ def test_eval_nonpositive_workers_exits_before_any_task(capsys, tmp_path):
         assert code == 2 and out == "" and "workers" in err
 
 
+def test_serve_port_out_of_range_exits_before_binding(capsys):
+    for port in ("70000", "65536", "-1"):
+        code, out, err = run_cli(capsys, "serve", "--backend", BACKEND, "--port", port)
+        assert code == 2 and out == "" and f"port must be an int in 0..65535, not {port}" in err, (port, err)
+
+
 def test_generate_trace_file(capsys, tmp_path):
     trace_path = tmp_path / "trace.ndjson"
     code, _, _ = run_cli(
@@ -423,6 +429,10 @@ def test_analyze_gradients_csv(capsys, tmp_path):
         )
         assert code == 2 and "delta" in err
         assert not bad_path.exists()
+    # the library holds delta to the rule for a strength: a finite real number, no bool
+    for delta in (0, -1e-3, float("nan"), float("inf"), True, None, "0.1", [1], 10**400):
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
+            gradient_attention(backend, backend.vocab.tokenize("abcd"), delta)
 
 
 def test_analyze_lengths_csv(capsys, tmp_path):

@@ -7,6 +7,7 @@ from anchored_decoding import (
     AnchoringConfig,
     AnchorResolution,
     DecodeLimits,
+    LogitServer,
     PromptSpec,
     ToyModelConfig,
     VocabSpec,
@@ -61,6 +62,8 @@ CASES = {
     "str seed": (lambda: ToyModelConfig(seed="3", vocab=VocabSpec.toy(16)), ValueError, "seed must be an int"),
     "negative seed": (lambda: ToyModelConfig(seed=-1, vocab=VocabSpec.toy(16)), ValueError, "seed must be >= 0"),
     "toy vocab past the alphabet": (lambda: VocabSpec.toy(60), ValueError, "alphabet too small"),
+    "bool port": (lambda: LogitServer(make_backend(), port=True), ValueError, "port must be an int in 0..65535"),
+    "str port": (lambda: LogitServer(make_backend(), port="8080"), ValueError, "port must be an int in 0..65535"),
     "tokenize opaque": (lambda: OPAQUE.tokenize("ab"), ValueError, "no surface strings"),
     "detokenize opaque": (lambda: OPAQUE.detokenize([2, 3]), ValueError, "no surface strings"),
 }

@@ -242,6 +242,36 @@ def test_anchored_pair_through_forks_equals_one_block(rng):
         assert backend.stats()["siblings_computed"] == backend.stats()["sibling_hits"] == 39
 
 
+PROMPT, OTHER, ANCHORS = list(range(2, 22)), [30] * 5, (2, 3)
+
+
+@pytest.mark.parametrize("before, streams, calls", [
+    ([(PROMPT, ()), (OTHER, ()), (PROMPT, ANCHORS)], (0, 2), 5),  # the sibling's stream above the original's
+    ([(OTHER, ()), (PROMPT, ANCHORS), (PROMPT, ()), (PROMPT, ANCHORS)], (2, 1), 6),  # below it
+    ([(PROMPT, ANCHORS), (OTHER, ()), (PROMPT, ()), (PROMPT, ANCHORS)], (2, 0), 6),  # below it, at stream 0
+])
+def test_a_pair_runs_on_its_two_streams_above_or_below(before, streams, calls):
+    # the pair is one kernel call on a view of its two streams, whichever lies
+    # above, and the stream between or below them keeps its rows
+    backend = ToyBackend(model(11, SHAPES[0]))
+    for ctx, masks in before:
+        backend.score(ctx, masks)
+    step = PROMPT + [5]
+    want = [one_block(backend, c, m) for c, m in ((step, ()), (step, ANCHORS), (OTHER + [7], ()))]
+    log = kernel_log(backend)
+    assert same_bytes(backend.score(step, want_attention=True), want[0])
+    sibling = np.array(step)
+    sibling[list(ANCHORS)] = backend.vocab.mask_id
+    assert (backend._tips[np.array(step).tobytes()][0], backend._tips[sibling.tobytes()][0]) == streams
+    assert same_bytes(backend.score(step, ANCHORS, want_attention=True), want[1])
+    stats = backend.stats()
+    del stats["rows_per_call"], stats["sibling_hit_share"]
+    assert stats == {"calls": calls, "full_hits": calls - 4, "rows_computed": 45, "rows_reused": 42,
+                     "siblings_computed": 1, "sibling_hits": 1}
+    assert same_bytes(backend.score(OTHER + [7], want_attention=True), want[2])
+    assert log == [(2, len(PROMPT), 1), (1, len(OTHER), 1)]  # the pair in one call, then one row past OTHER
+
+
 def test_a_sibling_takes_a_stream_whose_old_tip_is_then_computed_again():
     backend = ToyBackend(model(8, SHAPES[0]))
     contexts = [[2 + i] * 10 for i in range(_STREAMS)]
